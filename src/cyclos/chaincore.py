@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
 from . import ratlin
@@ -79,6 +80,31 @@ def _fraction_to_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+class UnionFind:
+    """Disjoint sets of hashable items with a path-halving ``find``.
+
+    ``union`` takes two roots and the caller decides which one survives, so
+    each user keeps its own merge policy (elder rule, scan order).
+    """
+
+    def __init__(self, items: Sequence[Hashable] = ()):
+        self.parent: dict = {v: v for v in items}
+
+    def add(self, v: Hashable) -> None:
+        self.parent[v] = v
+
+    def find(self, v: Hashable) -> Hashable:
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(self, survivor: Hashable, absorbed: Hashable) -> None:
+        """Hang root ``absorbed`` under root ``survivor``."""
+        self.parent[absorbed] = survivor
+
+
 class ChainComplex:
     """Vertices, oriented edges, optional triangles, and boundary matrices.
 
@@ -107,7 +133,6 @@ class ChainComplex:
             if tail not in self._vertex_index or head not in self._vertex_index:
                 raise CyclosError(f"edge ({tail!r}, {head!r}) references unknown vertex")
 
-        self.boundary1 = self._build_boundary1()
         if boundary2_override is not None:
             self.boundary2 = [list(map(int, row)) for row in boundary2_override]
             if len(self.boundary2) != len(self.edges):
@@ -120,7 +145,9 @@ class ChainComplex:
 
     # -- construction helpers -------------------------------------------------
 
-    def _build_boundary1(self) -> list[list[int]]:
+    @cached_property
+    def boundary1(self) -> list[list[int]]:
+        """Dense vertex-by-edge incidence matrix, built on first access."""
         mat = [[0] * len(self.edges) for _ in self.vertices]
         for j, (tail, head) in enumerate(self.edges):
             mat[self._vertex_index[head]][j] += 1
@@ -150,20 +177,13 @@ class ChainComplex:
         ``parents[v] = (parent vertex, edge index, direction)`` where direction
         is +1 when the stored edge points parent -> v.
         """
-        root: dict[VertexId, VertexId] = {v: v for v in self.vertices}
-
-        def find(v: VertexId) -> VertexId:
-            while root[v] != v:
-                root[v] = root[root[v]]
-                v = root[v]
-            return v
-
+        components = UnionFind(self.vertices)
         forest: set[int] = set()
         adjacency: dict[VertexId, list[tuple[VertexId, int, int]]] = {v: [] for v in self.vertices}
         for j, (tail, head) in enumerate(self.edges):
-            rt, rh = find(tail), find(head)
+            rt, rh = components.find(tail), components.find(head)
             if rt != rh:
-                root[rt] = rh
+                components.union(rh, rt)
                 forest.add(j)
                 adjacency[tail].append((head, j, 1))
                 adjacency[head].append((tail, j, -1))

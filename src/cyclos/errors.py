@@ -31,7 +31,7 @@ class MonotonicityError(CyclosError):
 
 
 class FiltrationError(CyclosError):
-    """A filtration step appears before one of its faces."""
+    """A filtration step precedes one of its faces, repeats a vertex, or is NaN."""
 
 
 class FeasibilityError(CyclosError):

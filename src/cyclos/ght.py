@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, NoPeakError, PreconditionError, TableError
-from .persist import Bar, Barcode
+from .persist import Barcode, Filtration, FiltrationStep, compute_barcode
 
 GAZE_CLOSURE_TOL = 1e-9
 
@@ -239,53 +239,37 @@ def saccade_invariance_audit(
 def peak_persistence(acc: Accumulator, thresholds: Sequence[float]) -> Barcode:
     """H0 barcode of the superlevel-set filtration of the vote field.
 
-    Thresholds must descend. Bars are recorded on the negated threshold axis
-    so the shared barcode convention (birth <= death along the filtration)
-    applies: a component born at peak height h and merged at saddle s yields
-    the bar (-h, -s); persistence lengths are peak - saddle either way.
+    Thresholds must be finite and strictly descending. The grid becomes a
+    graph filtration on the negated threshold axis: a cell enters at -tau for
+    the first (largest) threshold tau it reaches, and two 4-adjacent cells
+    are joined at the later of their two entries. Cells that reach no
+    threshold, NaN cells included, never enter. The bars are the dim-0 bars
+    of :func:`persist.compute_barcode`, so the shared barcode convention
+    (birth <= death along the filtration) applies: a component born at peak
+    height h and merged at saddle s yields the bar (-h, -s); persistence
+    lengths are peak - saddle either way.
     """
+    if not all(math.isfinite(t) for t in thresholds):
+        raise PreconditionError("thresholds must be finite")
     if any(b >= a for a, b in zip(thresholds, thresholds[1:])):
         raise PreconditionError("thresholds must be strictly descending")
-    if not thresholds:
-        return Barcode(())
-    ny, nx = acc.grid.shape
-    parent = {}
-    birth = {}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    bars = []
-    active = set()
-    for tau in thresholds:
-        newly = [
-            (iy, ix)
-            for iy in range(ny)
-            for ix in range(nx)
-            if (iy, ix) not in active and acc.grid[iy, ix] >= tau
-        ]
-        for cell in newly:
-            parent[cell] = cell
-            birth[cell] = tau
-            active.add(cell)
-        # union pass after all activations at this threshold
-        for cell in sorted(active):
-            iy, ix = cell
-            for ny_, nx_ in ((iy - 1, ix), (iy + 1, ix), (iy, ix - 1), (iy, ix + 1)):
-                if (ny_, nx_) in active:
-                    ra, rb = find(cell), find((ny_, nx_))
-                    if ra == rb:
-                        continue
-                    elder, younger = sorted(
-                        (ra, rb), key=lambda r: (-birth[r], r)
-                    )
-                    bars.append(Bar(0, -birth[younger], -tau))
-                    parent[younger] = elder
-    roots = {find(c) for c in active}
-    for root in sorted(roots, key=lambda r: (-birth[r], r)):
-        bars.append(Bar(0, -birth[root], math.inf))
-    bars.sort(key=lambda b: (b.birth, b.death))
-    return Barcode(tuple(bars))
+    n = len(thresholds)
+    values = [-t for t in thresholds]
+    # index of the first threshold each cell reaches; n when it reaches none
+    first = np.searchsorted(np.asarray(values, dtype=float), -acc.grid, side="left").tolist()
+    nx = acc.grid.shape[1]
+    steps = []
+    for iy, row in enumerate(first):
+        for ix, k in enumerate(row):
+            if k == n:
+                continue
+            # flat integer ids keep the filtration's canonical sort on its numeric path
+            cell = iy * nx + ix
+            steps.append(FiltrationStep(values[k], "vertex", (cell,)))
+            left = row[ix - 1] if ix else n
+            above = first[iy - 1][ix] if iy else n
+            if left < n:
+                steps.append(FiltrationStep(values[max(k, left)], "edge", (cell - 1, cell)))
+            if above < n:
+                steps.append(FiltrationStep(values[max(k, above)], "edge", (cell - nx, cell)))
+    return Barcode(compute_barcode(Filtration(steps)).in_dim(0))

@@ -1,8 +1,10 @@
 """Filtrations of graph/2-complexes, H0/H1 barcodes, and the persistence index.
 
-H0 runs on a union-find with the elder rule (ties broken by lower vertex id);
-H1 deaths come from standard GF(2) column reduction of the triangle columns,
-which is exact on the small complexes in scope.
+This is the one H0 engine in cyclos: ``ght.peak_persistence`` builds a
+filtration of its grid and reads the dim-0 bars of :func:`compute_barcode`.
+H0 runs on ``chaincore.UnionFind`` with the elder rule (ties broken by lower
+vertex id); H1 deaths come from standard GF(2) column reduction of the
+triangle columns, which is exact on the small complexes in scope.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .chaincore import ChainComplex
+from .chaincore import ChainComplex, UnionFind
 from .errors import CyclosError, FiltrationError, MonotonicityError
 
 INF = math.inf
@@ -28,6 +30,8 @@ class FiltrationStep:
     def __post_init__(self):
         if self.kind not in _DIM_RANK:
             raise CyclosError(f"unknown simplex kind {self.kind!r}")
+        if math.isnan(self.value):
+            raise FiltrationError(f"{self.kind} {self.simplex} has a NaN filtration value")
 
 
 class Filtration:
@@ -49,6 +53,8 @@ class Filtration:
         present_edges: list[tuple] = []
         for step in self.steps:
             if step.kind == "vertex":
+                if step.simplex[0] in present_vertices:
+                    raise FiltrationError(f"vertex {step.simplex[0]!r} inserted twice")
                 present_vertices.add(step.simplex[0])
             elif step.kind == "edge":
                 tail, head = step.simplex
@@ -62,9 +68,6 @@ class Filtration:
                         raise FiltrationError(
                             f"triangle {step.simplex} added before side {side}"
                         )
-
-    def max_value(self) -> float:
-        return self.steps[-1].value if self.steps else 0.0
 
     def complex_at(self, value: float) -> ChainComplex:
         """Sub-complex of all simplices with filtration value <= value."""
@@ -134,9 +137,6 @@ class Barcode:
         finite = [b.birth for b in self.bars] + [b.death for b in self.bars if b.death != INF]
         return max(finite) if finite else None
 
-    def to_rows(self) -> list[tuple[int, float, float]]:
-        return [(b.dim, b.birth, b.death) for b in self.bars]
-
     def to_json_obj(self) -> dict:
         return {
             "bars": [
@@ -162,27 +162,13 @@ class PersistenceIndex:
     total_persistence: float
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-        self.birth: dict = {}
-
-    def add(self, v, birth: float):
-        self.parent[v] = v
-        self.birth[v] = birth
-
-    def find(self, v):
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def elder_order(self, root):
-        return (self.birth[root], _simplex_sort_key((root,)))
-
-
 def compute_barcode(filtration: Filtration) -> Barcode:
-    uf = _UnionFind()
+    uf = UnionFind()
+    vertex_birth: dict = {}
+
+    def elder_order(root):
+        return (vertex_birth[root], _id_sort_key(root))
+
     bars: list[Bar] = []
     # GF(2) reduction state for triangle columns: creator edge step -> column
     edge_steps: list[tuple] = []  # step order of edges, for side lookup
@@ -193,7 +179,8 @@ def compute_barcode(filtration: Filtration) -> Barcode:
 
     for step in filtration.steps:
         if step.kind == "vertex":
-            uf.add(step.simplex[0], step.value)
+            uf.add(step.simplex[0])
+            vertex_birth[step.simplex[0]] = step.value
         elif step.kind == "edge":
             pos = len(edge_steps)
             edge_steps.append(step.simplex)
@@ -203,9 +190,9 @@ def compute_barcode(filtration: Filtration) -> Barcode:
             if rt == rh:
                 creator_edges[pos] = step.value
             else:
-                elder, younger = sorted((rt, rh), key=uf.elder_order)
-                bars.append(Bar(0, uf.birth[younger], step.value))
-                uf.parent[younger] = elder
+                elder, younger = sorted((rt, rh), key=elder_order)
+                bars.append(Bar(0, vertex_birth[younger], step.value))
+                uf.union(elder, younger)
         else:
             a, b, c = step.simplex
             column: set[int] = set()
@@ -226,8 +213,8 @@ def compute_barcode(filtration: Filtration) -> Barcode:
             # empty column: triangle creates an H2 class, out of scope
 
     roots = {uf.find(v) for v in uf.parent}
-    for root in sorted(roots, key=uf.elder_order):
-        bars.append(Bar(0, uf.birth[root], INF))
+    for root in sorted(roots, key=elder_order):
+        bars.append(Bar(0, vertex_birth[root], INF))
     for pos in sorted(creator_edges):
         bars.append(Bar(1, creator_edges[pos], INF))
     bars.sort(key=lambda bar: (bar.dim, bar.birth, bar.death))

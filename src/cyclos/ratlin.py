@@ -8,14 +8,10 @@ reduced forms (and hence canonical representatives) are reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Row = list[Fraction]
 Matrix = list[Row]
-
-
-def as_fraction_matrix(rows: Iterable[Sequence]) -> Matrix:
-    return [[Fraction(entry) for entry in row] for row in rows]
 
 
 def zeros(n_rows: int, n_cols: int) -> Matrix:
@@ -84,26 +80,6 @@ def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
 def rank(a: Sequence[Sequence]) -> int:
     return len(rref(a)[1])
-
-
-def kernel_basis(a: Sequence[Sequence], n_cols: int | None = None) -> list[Row]:
-    """Basis of the right null space, one vector per free column."""
-    if n_cols is None:
-        n_cols = len(a[0]) if a else 0
-    if not a:
-        return [[Fraction(i == j) for j in range(n_cols)] for i in range(n_cols)]
-    reduced, pivots = rref(a)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -reduced[row_idx][free]
-        basis.append(vec)
-    return basis
 
 
 def solve_gaussian(a: Sequence[Sequence], b: Sequence) -> Row:

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclos import ght
 from cyclos.errors import NoPeakError, PreconditionError, TableError
@@ -19,6 +20,7 @@ from cyclos.ght import (
     peak_persistence,
     saccade_invariance_audit,
 )
+from cyclos.persist import Bar, Barcode
 
 CONFIG = AccumulatorConfig(extent=(0.0, 100.0, 0.0, 100.0), shape=(50, 50))
 TABLE = ModelTable({0: (10.0, 0.0), 1: (0.0, 10.0), 2: (-7.0, -7.0)})
@@ -169,6 +171,62 @@ def brute_force_components(grid, tau):
     return count
 
 
+def reference_peak_persistence(acc, thresholds):
+    """Per-threshold superlevel H0: activate cells, then union every active pair.
+
+    Rescans the grid and re-sorts the active cells at each threshold, with its
+    own union-find and elder rule (higher birth threshold, then lower cell).
+    """
+    ny, nx = acc.grid.shape
+    parent = {}
+    birth = {}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    bars = []
+    active = set()
+    for tau in thresholds:
+        for iy in range(ny):
+            for ix in range(nx):
+                if (iy, ix) not in active and acc.grid[iy, ix] >= tau:
+                    parent[(iy, ix)] = (iy, ix)
+                    birth[(iy, ix)] = tau
+                    active.add((iy, ix))
+        for cell in sorted(active):
+            iy, ix = cell
+            for nb in ((iy - 1, ix), (iy + 1, ix), (iy, ix - 1), (iy, ix + 1)):
+                if nb not in active:
+                    continue
+                ra, rb = find(cell), find(nb)
+                if ra == rb:
+                    continue
+                elder, younger = sorted((ra, rb), key=lambda r: (-birth[r], r))
+                bars.append(Bar(0, -birth[younger], -tau))
+                parent[younger] = elder
+    roots = {find(c) for c in active}
+    for root in sorted(roots, key=lambda r: (-birth[r], r)):
+        bars.append(Bar(0, -birth[root], math.inf))
+    bars.sort(key=lambda b: (b.birth, b.death))
+    return Barcode(tuple(bars))
+
+
+# few distinct levels force ties, plateaus and cells sitting exactly on a threshold
+GRID_LEVELS = (0.0, 1.0, 2.0, 2.5, 4.0, math.nan)
+THRESHOLD_LEVELS = (-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0)
+
+
+@st.composite
+def grids_and_thresholds(draw):
+    ny, nx = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cells = draw(st.lists(st.sampled_from(GRID_LEVELS), min_size=ny * nx, max_size=ny * nx))
+    thresholds = draw(st.lists(st.sampled_from(THRESHOLD_LEVELS), unique=True))
+    return np.array(cells).reshape(ny, nx), sorted(thresholds, reverse=True)
+
+
 class TestPeakPersistence:
     def _bump_grid(self):
         # two bumps (heights 5 and 3) joined by a saddle at 2
@@ -208,6 +266,26 @@ class TestPeakPersistence:
         for tau in thresholds:
             alive = barcode.alive_count(0, -tau)
             assert alive == brute_force_components(grid, tau)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grids_and_thresholds())
+    def test_matches_per_threshold_reference(self, case):
+        grid, thresholds = case
+        acc = Accumulator(CONFIG, grid, 0, 0.0)
+        expected = reference_peak_persistence(acc, thresholds)
+        assert peak_persistence(acc, thresholds).to_json_obj() == expected.to_json_obj()
+
+    @pytest.mark.parametrize("thresholds", [
+        [1.0, math.nan, 2.0],
+        [math.nan],
+        [math.inf, 1.0],
+        [2.0, 1.0, -math.inf],
+        [3.0, 3.0],
+    ])
+    def test_invalid_thresholds_rejected(self, thresholds):
+        acc = Accumulator(CONFIG, np.ones((3, 3)), 0, 0.0)
+        with pytest.raises(PreconditionError):
+            peak_persistence(acc, thresholds)
 
     def test_ascending_thresholds_rejected(self):
         acc = Accumulator(CONFIG, np.ones((3, 3)), 0, 0.0)

@@ -60,6 +60,24 @@ class TestFiltrationValidation:
         filt = Filtration(steps)
         assert [s.kind for s in filt.steps] == ["vertex", "vertex", "edge"]
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: Filtration([
+            FiltrationStep(0.0, "vertex", (0,)),
+            FiltrationStep(0.0, "vertex", (1,)),
+            FiltrationStep(0.5, "edge", (0, 1)),
+            FiltrationStep(1.0, "vertex", (0,)),
+        ]), id="vertex-inserted-twice"),
+        pytest.param(lambda: Filtration([FiltrationStep(0.0, "vertex", (3,))] * 2),
+                     id="same-vertex-step-twice"),
+        pytest.param(lambda: FiltrationStep(math.nan, "vertex", (0,)), id="nan-vertex"),
+        pytest.param(lambda: FiltrationStep(math.nan, "edge", (0, 1)), id="nan-edge"),
+        pytest.param(lambda: Filtration.from_json_obj({"steps": [["nan", "vertex", 0]]}),
+                     id="nan-from-json"),
+    ])
+    def test_silent_wrong_answers_rejected(self, build):
+        with pytest.raises(FiltrationError):
+            build()
+
     def test_json_round_trip(self):
         filt = Filtration(steps_for_triangle(fill_at=4.0))
         again = Filtration.from_json_obj(filt.to_json_obj())
