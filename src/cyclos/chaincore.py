@@ -4,7 +4,10 @@ The complex stores an ordered vertex list, oriented edges (parallel edges
 allowed), and optional oriented triangles. Boundary matrices are built over
 the integers; projections and class reduction run in exact rational
 arithmetic so closure checks (``boundary1(z) == 0``) are matrix-exact, never
-approximate.
+approximate. Fundamental cycles come from root paths in the lexicographic-
+minimum spanning forest. The projection onto cycles solves a vertex-sized
+graph-Laplacian system grounded at the forest roots (Lim, "Hodge Laplacians
+on graphs", SIAM Review 2020), not a system over the cycle basis.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
 from . import ratlin
-from .errors import ClosureError, CyclosError, MalformedChainError
+from .errors import ClosureError, CyclosError, MalformedChainError, malformed
 
 VertexId = Hashable
 
@@ -28,9 +31,10 @@ class Chain1:
 
     @classmethod
     def from_dict(cls, coeffs: Mapping[int, Fraction | int]) -> "Chain1":
-        items = tuple(
-            (int(idx), Fraction(val)) for idx, val in sorted(coeffs.items()) if Fraction(val) != 0
-        )
+        with malformed("chain", MalformedChainError):
+            items = tuple(
+                (int(idx), Fraction(val)) for idx, val in sorted(coeffs.items()) if Fraction(val) != 0
+            )
         return cls(items)
 
     def as_dict(self) -> dict[int, Fraction]:
@@ -60,7 +64,9 @@ class Chain1:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, str]) -> "Chain1":
-        return cls.from_dict({int(k): Fraction(str(v)) for k, v in obj.items()})
+        with malformed("chain JSON", MalformedChainError):
+            coeffs = {int(k): Fraction(str(v)) for k, v in obj.items()}
+        return cls.from_dict(coeffs)
 
 
 @dataclass(frozen=True)
@@ -212,44 +218,22 @@ class ChainComplex:
     def n_components(self) -> int:
         return len(self.vertices) - len(self._forest_edges)
 
-    def _tree_path_chain(self, start: VertexId, goal: VertexId) -> dict[int, int]:
-        """Signed tree-edge coefficients of the forest path start -> goal."""
-
-        def path_to_root(v: VertexId) -> list[tuple[VertexId, int, int]]:
-            out = []
-            while v in self._parents:
-                parent, j, direction = self._parents[v]
-                out.append((v, j, direction))
-                v = parent
-            return out
-
-        up_start = path_to_root(start)
-        up_goal = path_to_root(goal)
-        # Find the meeting vertex: walk both trails as vertex sequences.
-        trail_start = [start]
-        for v, _, _ in up_start:
-            trail_start.append(self._parents[v][0])
-        trail_goal = [goal]
-        for v, _, _ in up_goal:
-            trail_goal.append(self._parents[v][0])
-        goal_positions = {v: i for i, v in enumerate(trail_goal)}
-        meet_idx_start = next(i for i, v in enumerate(trail_start) if v in goal_positions)
-        meet = trail_start[meet_idx_start]
+    def _root_path(self, v: VertexId) -> dict[int, int]:
+        """Signed tree-edge coefficients of the forest path from v's root to v."""
         coeffs: dict[int, int] = {}
-        # start -> meet: each hop v -> parent traverses edge j against `direction`.
-        for v, j, direction in up_start[:meet_idx_start]:
-            coeffs[j] = coeffs.get(j, 0) - direction
-        # meet -> goal: reverse of goal -> meet.
-        for v, j, direction in up_goal[: goal_positions[meet]]:
-            coeffs[j] = coeffs.get(j, 0) + direction
+        while v in self._parents:
+            v, j, direction = self._parents[v]
+            coeffs[j] = direction
         return coeffs
 
     def fundamental_cycle(self, edge_index: int) -> Chain1:
-        """Cycle with coefficient +1 on the given non-tree edge."""
+        """Cycle with coefficient +1 on the given non-tree edge: the edge plus
+        the root paths of its ends, whose shared stem cancels."""
         tail, head = self.edges[edge_index]
-        coeffs: dict[int, Fraction] = {edge_index: Fraction(1)}
-        for j, c in self._tree_path_chain(head, tail).items():
-            coeffs[j] = coeffs.get(j, Fraction(0)) + c
+        coeffs = self._root_path(tail)
+        for j, c in self._root_path(head).items():
+            coeffs[j] = coeffs.get(j, 0) - c
+        coeffs[edge_index] = coeffs.get(edge_index, 0) + 1
         return Chain1.from_dict(coeffs)
 
     # -- serialization ---------------------------------------------------------
@@ -263,11 +247,12 @@ class ChainComplex:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "ChainComplex":
-        return cls(
-            obj["vertices"],
-            [tuple(e) for e in obj.get("edges", [])],
-            [tuple(t) for t in obj.get("triangles", [])],
-        )
+        with malformed("complex JSON"):
+            return cls(
+                obj["vertices"],
+                [tuple(e) for e in obj.get("edges", [])],
+                [tuple(t) for t in obj.get("triangles", [])],
+            )
 
 
 # -- operations ------------------------------------------------------------------
@@ -301,33 +286,25 @@ def cycle_space_basis(complex_: ChainComplex) -> list[Chain1]:
 def project_to_cycles(chain: Chain1, complex_: ChainComplex) -> Chain1:
     """Orthogonal projection onto ker(boundary1), exact rationals.
 
-    Solves the normal equations of least-squares approximation by cycle-basis
-    combinations; idempotent, and the output always has zero boundary.
+    Returns c - boundary1^T(phi), where L0 phi = boundary1(c) and L0 is the
+    graph Laplacian (Lim, "Hodge Laplacians on graphs", SIAM Review 2020).
+    Each spanning-forest root is grounded at phi = 0, so the system has one
+    unknown per non-root vertex and is nonsingular. The output always has
+    zero boundary, and projecting it again returns it unchanged.
     """
-    for idx, _ in chain.coefficients:
-        if idx < 0 or idx >= len(complex_.edges):
-            raise MalformedChainError(f"edge index {idx} out of range")
-    basis = cycle_space_basis(complex_)
-    if not basis:
-        return Chain1.from_dict({})
-    n_edges = len(complex_.edges)
-    basis_cols = [[Fraction(0)] * len(basis) for _ in range(n_edges)]
-    for b_idx, cyc in enumerate(basis):
-        for e_idx, coeff in cyc.coefficients:
-            basis_cols[e_idx][b_idx] = coeff
-    c_vec = [Fraction(0)] * n_edges
-    for idx, coeff in chain.coefficients:
-        c_vec[idx] = coeff
-    bt = ratlin.transpose(basis_cols)
-    gram = ratlin.mat_mul(bt, basis_cols)
-    rhs = ratlin.mat_vec(bt, c_vec)
-    coords = ratlin.solve_gaussian(gram, rhs)
-    out: dict[int, Fraction] = {}
-    for b_idx, x in enumerate(coords):
-        if x == 0:
-            continue
-        for e_idx, coeff in basis[b_idx].coefficients:
-            out[e_idx] = out.get(e_idx, Fraction(0)) + x * coeff
+    div = boundary1(chain, complex_)
+    unknowns = {v: i for i, v in enumerate(v for v in complex_.vertices if v in complex_._parents)}
+    laplacian = [[0] * len(unknowns) for _ in unknowns]
+    for tail, head in complex_.edges:
+        t, h = unknowns.get(tail), unknowns.get(head)
+        for i, j, sign in ((t, t, 1), (h, h, 1), (t, h, -1), (h, t, -1)):
+            if i is not None and j is not None:
+                laplacian[i][j] += sign
+    rhs = [div.get(v, 0) for v in unknowns]
+    phi = dict(zip(unknowns, ratlin.solve_gaussian(laplacian, rhs)))
+    out = chain.as_dict()
+    for j, (tail, head) in enumerate(complex_.edges):
+        out[j] = out.get(j, 0) - phi.get(head, 0) + phi.get(tail, 0)
     return Chain1.from_dict(out)
 
 

@@ -9,16 +9,22 @@ what survives is exactly the closed, reproducible part of the train.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import chaincore
 from .chaincore import Chain1, ChainComplex, HomologyClass1
-from .errors import CyclosError, PreconditionError, WindowError
+from .errors import CyclosError, PreconditionError, WindowError, malformed
 from .persist import Barcode, compute_barcode, window_filtration
 from .phasecode import Oscillator, circular_distance, wrap_time
 
 DEFAULT_MULTIPLICITY_CAP = 16
+
+
+def _is_int(x) -> bool:
+    """True for integers, including numpy's, but not for bools."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -29,17 +35,17 @@ class SpikeTrain:
     spikes: tuple[tuple[int, float], ...]
 
     def __init__(self, neurons: int, spikes: Sequence[tuple[int, float]]):
-        if neurons < 0:
-            raise CyclosError("neuron count must be non-negative")
+        if not _is_int(neurons) or neurons < 0:
+            raise CyclosError(f"neuron count must be a non-negative integer, got {neurons!r}")
         normalized = []
         for neuron, t in spikes:
-            if not (0 <= neuron < neurons):
-                raise CyclosError(f"spike neuron {neuron} outside 0..{neurons - 1}")
+            if not _is_int(neuron) or not 0 <= neuron < neurons:
+                raise CyclosError(f"spike neuron {neuron!r} is not an integer in 0..{neurons - 1}")
             if not math.isfinite(t):
                 raise CyclosError("spike times must be finite")
             normalized.append((int(neuron), float(t)))
         normalized.sort(key=lambda s: (s[1], s[0]))
-        object.__setattr__(self, "neurons", neurons)
+        object.__setattr__(self, "neurons", int(neurons))
         object.__setattr__(self, "spikes", tuple(normalized))
 
     def to_json_obj(self) -> dict:
@@ -47,7 +53,8 @@ class SpikeTrain:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "SpikeTrain":
-        return cls(int(obj["neurons"]), [(int(n), float(t)) for n, t in obj["spikes"]])
+        with malformed("spike train JSON"):
+            return cls(obj["neurons"], [(n, float(t)) for n, t in obj["spikes"]])
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,23 @@ can map them onto its exit-code contract (1 = validation error, 2 = failed
 property check).
 """
 
+from contextlib import contextmanager
+
 
 class CyclosError(ValueError):
     """Base class for all package-specific errors."""
+
+
+@contextmanager
+def malformed(what: str, error: type[CyclosError] = CyclosError):
+    """Re-raise a missing key, wrong shape or type, or unparsable number
+    inside the block as ``error``; CyclosErrors pass through unchanged."""
+    try:
+        yield
+    except CyclosError:
+        raise
+    except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError) as exc:
+        raise error(f"malformed {what}: {exc!r}") from exc
 
 
 class MalformedChainError(CyclosError):

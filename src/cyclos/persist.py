@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .chaincore import ChainComplex, UnionFind
-from .errors import CyclosError, FiltrationError, MonotonicityError
+from .errors import CyclosError, FiltrationError, MonotonicityError, malformed
 
 INF = math.inf
 
@@ -50,7 +50,7 @@ class Filtration:
 
     def _validate(self):
         present_vertices: set = set()
-        present_edges: list[tuple] = []
+        present_edges: set[tuple] = set()
         for step in self.steps:
             if step.kind == "vertex":
                 if step.simplex[0] in present_vertices:
@@ -60,7 +60,7 @@ class Filtration:
                 tail, head = step.simplex
                 if tail not in present_vertices or head not in present_vertices:
                     raise FiltrationError(f"edge {step.simplex} added before its vertices")
-                present_edges.append((tail, head))
+                present_edges.add((tail, head))
             else:
                 a, b, c = step.simplex
                 for side in ((a, b), (b, c), (c, a)):
@@ -88,11 +88,12 @@ class Filtration:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Filtration":
-        steps = []
-        for value, kind, simplex in obj["steps"]:
-            simplex = (simplex,) if not isinstance(simplex, list) else tuple(simplex)
-            steps.append(FiltrationStep(float(value), kind, simplex))
-        return cls(steps)
+        with malformed("filtration JSON"):
+            steps = []
+            for value, kind, simplex in obj["steps"]:
+                simplex = (simplex,) if not isinstance(simplex, list) else tuple(simplex)
+                steps.append(FiltrationStep(float(value), kind, simplex))
+            return cls(steps)
 
 
 def _id_sort_key(x):
@@ -112,8 +113,8 @@ class Bar:
     death: float  # math.inf for essential classes
 
     def __post_init__(self):
-        if self.birth > self.death:
-            raise CyclosError(f"bar born after death: {self}")
+        if not self.birth <= self.death:  # also rejects NaN
+            raise CyclosError(f"bar needs birth <= death: {self}")
 
     @property
     def length(self) -> float:
@@ -146,11 +147,8 @@ class Barcode:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Barcode":
-        bars = [
-            Bar(int(d), float(b), INF if dth == "inf" else float(dth))
-            for d, b, dth in obj["bars"]
-        ]
-        return cls(tuple(bars))
+        with malformed("barcode JSON"):
+            return cls(tuple(Bar(int(d), float(b), float(dth)) for d, b, dth in obj["bars"]))
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     return out
 
 
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> Row:
-    return [sum((Fraction(x) * Fraction(y) for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
 def transpose(a: Sequence[Sequence]) -> Matrix:
     if not a:
         return []

@@ -4,13 +4,15 @@ Rank/dimension expectations are checked against an independent numpy oracle
 (float SVD rank), never against the package's own rational elimination.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cyclos import chaincore
+from cyclos import chaincore, ratlin
 from cyclos.chaincore import Chain1, ChainComplex
 from cyclos.errors import ClosureError, CyclosError, MalformedChainError
 
@@ -48,6 +50,40 @@ def random_two_complex(rng, max_vertices=12):
         if {(a, b), (b, c), (a, c)} <= edge_set:
             triangles.append((a, b, c))
     return ChainComplex(list(range(n)), edges, triangles)
+
+
+@st.composite
+def multigraph_chains(draw, max_vertices=7):
+    """Multigraph with self-loops, parallel edges, isolated vertices and a
+    shuffled vertex list, plus a chain with rational coefficients (maybe empty)."""
+    n = draw(st.integers(0, max_vertices))
+    vertices = draw(st.permutations(range(n)))
+    ends = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=2 * max_vertices)) if n else []
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    chain = draw(st.dictionaries(st.integers(0, len(edges) - 1), coeff)) if edges else {}
+    return ChainComplex(vertices, edges), Chain1.from_dict(chain)
+
+
+def reference_project_to_cycles(chain, cx):
+    """Projection by the cycle-basis normal equations (B^T B) x = B^T c, then B x."""
+    basis = chaincore.cycle_space_basis(cx)
+    if not basis:
+        return Chain1.from_dict({})
+    cols = [[Fraction(0)] * len(basis) for _ in cx.edges]
+    for b, cyc in enumerate(basis):
+        for e, coeff in cyc.coefficients:
+            cols[e][b] = coeff
+    lookup = chain.as_dict()
+    c = [lookup.get(e, Fraction(0)) for e in range(len(cx.edges))]
+    bt = ratlin.transpose(cols)
+    gram = ratlin.mat_mul(bt, cols)
+    rhs = [sum((x * y for x, y in zip(row, c)), Fraction(0)) for row in bt]
+    out: dict[int, Fraction] = {}
+    for x, cyc in zip(ratlin.solve_gaussian(gram, rhs), basis):
+        for e, coeff in cyc.coefficients:
+            out[e] = out.get(e, Fraction(0)) + x * coeff
+    return Chain1.from_dict(out)
 
 
 def betti_oracle(cx):
@@ -190,6 +226,28 @@ class TestProjection:
             assert np.allclose(got, expected, atol=1e-9)
 
 
+class TestProjectionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(multigraph_chains())
+    def test_matches_cycle_basis_normal_equations(self, case):
+        cx, chain = case
+        got = chaincore.project_to_cycles(chain, cx)
+        assert got.coefficients == reference_project_to_cycles(chain, cx).coefficients
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraph_chains())
+    def test_fundamental_cycles_pick_out_one_nontree_edge(self, case):
+        # homology_class reads a cycle's coordinates off its non-tree edges,
+        # which is only right if each fundamental cycle is 1 on its own
+        # non-tree edge and 0 on every other one
+        cx, _ = case
+        nontree = cx._nontree_edges
+        for j in nontree:
+            cycle = cx.fundamental_cycle(j).as_dict()
+            assert [cycle.get(k, 0) for k in nontree] == [int(k == j) for k in nontree]
+            assert chaincore.boundary1(Chain1.from_dict(cycle), cx) == {}
+
+
 class TestHomology:
     def test_filled_triangle_boundary_is_trivial(self):
         cx = triangle_complex(filled=True)
@@ -289,3 +347,22 @@ class TestJsonRoundTrip:
         obj = chain.to_json_obj()
         assert obj == {"0": "1/3", "2": "-2"}
         assert Chain1.from_json_obj(obj) == chain
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: Chain1.from_dict({0: math.nan}), id="nan-coefficient"),
+        pytest.param(lambda: Chain1.from_dict({0: math.inf}), id="inf-coefficient"),
+        pytest.param(lambda: Chain1.from_json_obj({"x": "1"}), id="json-non-integer-edge"),
+        pytest.param(lambda: Chain1.from_json_obj({"0": "abc"}), id="json-non-number"),
+        pytest.param(lambda: Chain1.from_json_obj({"0": "1/0"}), id="json-zero-denominator"),
+        pytest.param(lambda: ChainComplex.from_json_obj({}), id="json-no-vertices"),
+        pytest.param(lambda: ChainComplex.from_json_obj({"vertices": [0], "edges": [[0]]}),
+                     id="json-one-element-edge"),
+        pytest.param(lambda: ChainComplex.from_json_obj(
+            {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [2, 0]], "triangles": [[0, 1]]}),
+            id="json-two-element-triangle"),
+    ])
+    def test_rejected_with_cyclos_error(self, build):
+        with pytest.raises(CyclosError):
+            build()
