@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
 from . import ratlin
-from .errors import ClosureError, CyclosError, MalformedChainError, malformed
+from .errors import ClosureError, CyclosError, MalformedChainError, is_int, malformed
 
 VertexId = Hashable
 
@@ -31,6 +31,9 @@ class Chain1:
 
     @classmethod
     def from_dict(cls, coeffs: Mapping[int, Fraction | int]) -> "Chain1":
+        for idx in coeffs:
+            if not is_int(idx):
+                raise MalformedChainError(f"edge index {idx!r} is not an integer")
         with malformed("chain", MalformedChainError):
             items = tuple(
                 (int(idx), Fraction(val)) for idx, val in sorted(coeffs.items()) if Fraction(val) != 0
@@ -131,8 +134,9 @@ class ChainComplex:
         self.vertices = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise CyclosError("duplicate vertex ids")
-        self.edges = tuple((t, h) for t, h in edges)
-        self.triangles = tuple((a, b, c) for a, b, c in triangles)
+        with malformed("simplex list"):
+            self.edges = tuple((t, h) for t, h in edges)
+            self.triangles = tuple((a, b, c) for a, b, c in triangles)
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
 
         for tail, head in self.edges:
@@ -146,9 +150,6 @@ class ChainComplex:
         else:
             self.boundary2 = self._build_boundary2()
 
-        self._forest_edges, self._parents = self._spanning_forest()
-        self._nontree_edges = [i for i in range(len(self.edges)) if i not in self._forest_edges]
-
     # -- construction helpers -------------------------------------------------
 
     @cached_property
@@ -160,37 +161,39 @@ class ChainComplex:
             mat[self._vertex_index[tail]][j] -= 1
         return mat
 
-    def _resolve_side(self, tail: VertexId, head: VertexId) -> tuple[int, int]:
-        """Lowest-index listed edge matching (tail, head) up to orientation."""
-        for j, (t, h) in enumerate(self.edges):
-            if (t, h) == (tail, head):
-                return j, 1
-            if (t, h) == (head, tail):
-                return j, -1
-        raise CyclosError(f"triangle side ({tail!r}, {head!r}) has no matching edge")
-
     def _build_boundary2(self) -> list[list[int]]:
+        """Each triangle side maps to the lowest-index edge matching it up to
+        orientation, with sign -1 when that edge runs against the side."""
+        if not self.triangles:
+            return [[] for _ in self.edges]
         mat = [[0] * len(self.triangles) for _ in self.edges]
+        sides: dict[tuple[VertexId, VertexId], tuple[int, int]] = {}
+        for j, (tail, head) in enumerate(self.edges):
+            sides.setdefault((tail, head), (j, 1))
+            sides.setdefault((head, tail), (j, -1))
         for j, (a, b, c) in enumerate(self.triangles):
-            for tail, head in ((a, b), (b, c), (c, a)):
-                edge_idx, sign = self._resolve_side(tail, head)
+            for side in ((a, b), (b, c), (c, a)):
+                if side not in sides:
+                    raise CyclosError(f"triangle side {side!r} has no matching edge")
+                edge_idx, sign = sides[side]
                 mat[edge_idx][j] += sign
         return mat
 
-    def _spanning_forest(self) -> tuple[set[int], dict[VertexId, tuple[VertexId, int, int]]]:
-        """Forest built by scanning edges in index order (lexicographic minimum).
+    @cached_property
+    def _parents(self) -> dict[VertexId, tuple[VertexId, int, int]]:
+        """Spanning forest built by scanning edges in index order (lexicographic
+        minimum), computed on first access.
 
-        ``parents[v] = (parent vertex, edge index, direction)`` where direction
-        is +1 when the stored edge points parent -> v.
+        ``parents[v] = (parent vertex, edge index, direction)`` for every
+        non-root vertex, where direction is +1 when the stored edge points
+        parent -> v.
         """
         components = UnionFind(self.vertices)
-        forest: set[int] = set()
         adjacency: dict[VertexId, list[tuple[VertexId, int, int]]] = {v: [] for v in self.vertices}
         for j, (tail, head) in enumerate(self.edges):
             rt, rh = components.find(tail), components.find(head)
             if rt != rh:
                 components.union(rh, rt)
-                forest.add(j)
                 adjacency[tail].append((head, j, 1))
                 adjacency[head].append((tail, j, -1))
 
@@ -208,7 +211,12 @@ class ChainComplex:
                         seen.add(w)
                         parents[w] = (v, j, direction)
                         stack.append(w)
-        return forest, parents
+        return parents
+
+    @cached_property
+    def _nontree_edges(self) -> list[int]:
+        tree = {j for _, j, _ in self._parents.values()}
+        return [j for j in range(len(self.edges)) if j not in tree]
 
     # -- basic queries ---------------------------------------------------------
 
@@ -216,7 +224,7 @@ class ChainComplex:
         return self._vertex_index[v]
 
     def n_components(self) -> int:
-        return len(self.vertices) - len(self._forest_edges)
+        return len(self.vertices) - len(self._parents)
 
     def _root_path(self, v: VertexId) -> dict[int, int]:
         """Signed tree-edge coefficients of the forest path from v's root to v."""

@@ -4,27 +4,26 @@ A spike pair (i, t), (j, t') with t < t' and circular phase distance at most
 delta contributes one oriented edge i -> j. Projecting the edge aggregate
 onto the cycle space cancels everything that shows up in the boundary, so
 what survives is exactly the closed, reproducible part of the train.
+
+Pairs are enumerated and capped per ordered neuron pair in one pass, and
+each kept pair carries its phase distance, so a ladder of windows filters
+one list instead of measuring every pair again.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import chaincore
 from .chaincore import Chain1, ChainComplex, HomologyClass1
-from .errors import CyclosError, PreconditionError, WindowError, malformed
+from .errors import CyclosError, PreconditionError, WindowError, is_int, malformed
 from .persist import Barcode, compute_barcode, window_filtration
-from .phasecode import Oscillator, circular_distance, wrap_time
+from .phasecode import TWO_PI, Oscillator, wrap_time
 
 DEFAULT_MULTIPLICITY_CAP = 16
-
-
-def _is_int(x) -> bool:
-    """True for integers, including numpy's, but not for bools."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -35,11 +34,11 @@ class SpikeTrain:
     spikes: tuple[tuple[int, float], ...]
 
     def __init__(self, neurons: int, spikes: Sequence[tuple[int, float]]):
-        if not _is_int(neurons) or neurons < 0:
+        if not is_int(neurons) or neurons < 0:
             raise CyclosError(f"neuron count must be a non-negative integer, got {neurons!r}")
         normalized = []
         for neuron, t in spikes:
-            if not _is_int(neuron) or not 0 <= neuron < neurons:
+            if not is_int(neuron) or not 0 <= neuron < neurons:
                 raise CyclosError(f"spike neuron {neuron!r} is not an integer in 0..{neurons - 1}")
             if not math.isfinite(t):
                 raise CyclosError("spike times must be finite")
@@ -75,33 +74,38 @@ class CoincidenceResult:
     multiplicity_overflow: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
-def _coincident_pairs(train: SpikeTrain, osc: Oscillator, window: CoincidenceWindow,
-                      delta: float | None = None) -> list[tuple[int, int, float, float]]:
-    """All (i, j, t, t') pairs with t < t' within the phase window, time order."""
-    limit = window.delta if delta is None else delta
-    phases = [(neuron, t, wrap_time(t, osc)) for neuron, t in train.spikes]
-    pairs = []
-    for a in range(len(phases)):
-        i, t, phase_a = phases[a]
-        for b in range(a + 1, len(phases)):
-            j, t_next, phase_b = phases[b]
-            if t_next <= t or i == j:
-                continue  # simultaneous spikes stay unordered; self-pairs carry no relation
-            if circular_distance(phase_a, phase_b) <= limit:
-                pairs.append((i, j, t, t_next))
-    return pairs
+def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int):
+    """Capped coincident pairs and the overflow per ordered neuron pair.
 
-
-def _cap_pairs(pairs, cap):
-    kept, overflow = [], {}
+    Returns the kept (i, j, t, t', distance) tuples with t < t', i != j and
+    circular phase distance at most `limit`, in time order, where at most
+    `cap` pairs are kept per (i, j); the rest are counted in the overflow,
+    keyed in the order of each pair's first overflow.
+    """
+    neurons = [neuron for neuron, _ in train.spikes]
+    times = [t for _, t in train.spikes]
+    phases = [wrap_time(t, osc) for t in times]
+    kept = []
     counts: dict[tuple[int, int], int] = {}
-    for i, j, t, t2 in pairs:
-        key = (i, j)
-        counts[key] = counts.get(key, 0) + 1
-        if counts[key] <= cap:
-            kept.append((i, j, t, t2))
-        else:
-            overflow[key] = overflow.get(key, 0) + 1
+    overflow: dict[tuple[int, int], int] = {}
+    for a, (i, t, phase_a) in enumerate(zip(neurons, times, phases)):
+        # spikes are in time order and simultaneous ones stay unordered, so the
+        # partners of spike a start after its time tie
+        start = bisect_right(times, t, a + 1)
+        for j, t_next, phase_b in zip(neurons[start:], times[start:], phases[start:]):
+            if i == j:
+                continue  # self-pairs carry no relation
+            # bit-identical to phasecode.circular_distance(phase_a, phase_b)
+            d = abs(phase_a - phase_b) % TWO_PI
+            if TWO_PI - d < d:
+                d = TWO_PI - d
+            if d <= limit:
+                key = (i, j)
+                counts[key] = counts.get(key, 0) + 1
+                if counts[key] <= cap:
+                    kept.append((i, j, t, t_next, d))
+                else:
+                    overflow[key] = overflow.get(key, 0) + 1
     return kept, overflow
 
 
@@ -111,8 +115,8 @@ def build_coincidence_graph(
     window: CoincidenceWindow,
     multiplicity_cap: int = DEFAULT_MULTIPLICITY_CAP,
 ) -> ChainComplex:
-    kept, _ = _cap_pairs(_coincident_pairs(train, osc, window), multiplicity_cap)
-    return ChainComplex(list(range(train.neurons)), [(i, j) for i, j, _, _ in kept])
+    kept, _ = _coincident_pairs(train, osc, window.delta, multiplicity_cap)
+    return ChainComplex(list(range(train.neurons)), [(i, j) for i, j, *_ in kept])
 
 
 def closed_part(
@@ -121,8 +125,8 @@ def closed_part(
     window: CoincidenceWindow,
     multiplicity_cap: int = DEFAULT_MULTIPLICITY_CAP,
 ) -> CoincidenceResult:
-    kept, overflow = _cap_pairs(_coincident_pairs(train, osc, window), multiplicity_cap)
-    graph = ChainComplex(list(range(train.neurons)), [(i, j) for i, j, _, _ in kept])
+    kept, overflow = _coincident_pairs(train, osc, window.delta, multiplicity_cap)
+    graph = ChainComplex(list(range(train.neurons)), [(i, j) for i, j, *_ in kept])
     aggregate = Chain1.from_dict({idx: 1 for idx in range(len(graph.edges))})
     closed = chaincore.project_to_cycles(aggregate, graph)
     cls = chaincore.homology_class(closed, graph)
@@ -235,7 +239,8 @@ def coincidence_persistence(
     """Barcode of the nested coincidence graphs over a growing window.
 
     The multiplicity cap is applied once at the widest window so that the
-    kept edge set is monotone in delta.
+    kept edge set is monotone in delta; each narrower window keeps the pairs
+    whose stored phase distance fits it.
     """
     if not deltas:
         raise CyclosError("need at least one window value")
@@ -243,17 +248,10 @@ def coincidence_persistence(
         raise CyclosError("window values must be strictly ascending")
     for d in deltas:
         CoincidenceWindow(d)  # range validation
-    widest = CoincidenceWindow(deltas[-1])
-    all_pairs, _ = _cap_pairs(_coincident_pairs(train, osc, widest), multiplicity_cap)
-    phases = {}
-    graphs = {}
-    for delta in deltas:
-        edges = []
-        for i, j, t, t2 in all_pairs:
-            key = (t, i, t2, j)
-            if key not in phases:
-                phases[key] = circular_distance(wrap_time(t, osc), wrap_time(t2, osc))
-            if phases[key] <= delta:
-                edges.append((i, j))
-        graphs[delta] = ChainComplex(list(range(train.neurons)), edges)
+    kept, _ = _coincident_pairs(train, osc, deltas[-1], multiplicity_cap)
+    graphs = {
+        delta: ChainComplex(list(range(train.neurons)),
+                            [(i, j) for i, j, _, _, d in kept if d <= delta])
+        for delta in deltas
+    }
     return compute_barcode(window_filtration(graphs))

@@ -1,10 +1,11 @@
-"""Shared exception types.
+"""Shared exception types and input checks.
 
 Every validation failure raises a subclass of :class:`CyclosError` so the CLI
 can map them onto its exit-code contract (1 = validation error, 2 = failed
 property check).
 """
 
+import numbers
 from contextlib import contextmanager
 
 
@@ -22,6 +23,11 @@ def malformed(what: str, error: type[CyclosError] = CyclosError):
         raise
     except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError) as exc:
         raise error(f"malformed {what}: {exc!r}") from exc
+
+
+def is_int(x) -> bool:
+    """True for integers, including numpy's, but not for bools."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class MalformedChainError(CyclosError):

@@ -10,6 +10,7 @@ triangle columns, which is exact on the small complexes in scope.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -248,7 +249,7 @@ def window_filtration(graphs: Mapping[float, ChainComplex]) -> Filtration:
     deltas = sorted(graphs)
     steps: list[FiltrationStep] = []
     seen_vertices: set = set()
-    seen_edge_counts: dict[tuple, int] = {}
+    seen_edge_counts: Counter = Counter()
     seen_triangles: set = set()
     for delta in deltas:
         cx = graphs[delta]
@@ -256,21 +257,19 @@ def window_filtration(graphs: Mapping[float, ChainComplex]) -> Filtration:
         missing = seen_vertices - set(cx.vertices)
         if missing:
             raise MonotonicityError(f"vertices {sorted(map(str, missing))} vanish at delta={delta}")
-        edge_counts: dict[tuple, int] = {}
-        for e in cx.edges:
-            edge_counts[e] = edge_counts.get(e, 0) + 1
-        for e, prev in seen_edge_counts.items():
-            if edge_counts.get(e, 0) < prev:
-                raise MonotonicityError(f"edge {e} multiplicity shrinks at delta={delta}")
+        edge_counts = Counter(cx.edges)
+        shrunk = list(seen_edge_counts - edge_counts)
+        if shrunk:
+            raise MonotonicityError(f"edge {shrunk[0]} multiplicity shrinks at delta={delta}")
         tri_set = set(cx.triangles)
         if not seen_triangles <= tri_set:
             raise MonotonicityError(f"triangles vanish at delta={delta}")
         for v in new_vertices:
             steps.append(FiltrationStep(delta, "vertex", (v,)))
             seen_vertices.add(v)
-        for e in sorted(edge_counts, key=_simplex_sort_key):
-            for _ in range(edge_counts[e] - seen_edge_counts.get(e, 0)):
-                steps.append(FiltrationStep(delta, "edge", e))
+        new_edges = edge_counts - seen_edge_counts
+        for e in sorted(new_edges, key=_simplex_sort_key):
+            steps.extend(FiltrationStep(delta, "edge", e) for _ in range(new_edges[e]))
         seen_edge_counts = edge_counts
         for t in sorted(tri_set - seen_triangles, key=_simplex_sort_key):
             steps.append(FiltrationStep(delta, "triangle", t))

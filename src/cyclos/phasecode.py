@@ -24,8 +24,11 @@ class Oscillator:
     phase_offset: float = 0.0
 
     def __post_init__(self):
-        if self.frequency_hz <= 0:
-            raise CyclosError("oscillator frequency must be positive")
+        frequency, offset = self.frequency_hz, self.phase_offset
+        if not (math.isfinite(frequency) and frequency > 0):
+            raise CyclosError(f"oscillator frequency must be finite and > 0, got {frequency!r}")
+        if not math.isfinite(offset):
+            raise CyclosError(f"oscillator phase offset must be finite, got {offset!r}")
 
     @property
     def period(self) -> float:

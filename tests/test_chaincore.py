@@ -65,6 +65,32 @@ def multigraph_chains(draw, max_vertices=7):
     return ChainComplex(vertices, edges), Chain1.from_dict(chain)
 
 
+@st.composite
+def two_complex_parts(draw, max_vertices=4):
+    """Vertices, edges and triangles on a few vertices: parallel and reversed
+    edges, self-loops, and triangle sides that may have no edge at all."""
+    n = draw(st.integers(1, max_vertices))
+    ends = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=12))
+    triangles = draw(st.lists(st.tuples(ends, ends, ends), max_size=4))
+    return list(range(n)), edges, triangles
+
+
+def reference_boundary2(edges, triangles):
+    """Boundary2 resolving each triangle side by scanning the edge list for the
+    lowest-index edge matching it up to orientation; None if a side is missing."""
+    mat = [[0] * len(triangles) for _ in edges]
+    for j, (a, b, c) in enumerate(triangles):
+        for tail, head in ((a, b), (b, c), (c, a)):
+            for k, edge in enumerate(edges):
+                if edge in ((tail, head), (head, tail)):
+                    mat[k][j] += 1 if edge == (tail, head) else -1
+                    break
+            else:
+                return None
+    return mat
+
+
 def reference_project_to_cycles(chain, cx):
     """Projection by the cycle-basis normal equations (B^T B) x = B^T c, then B x."""
     basis = chaincore.cycle_space_basis(cx)
@@ -137,6 +163,17 @@ class TestDDZero:
         rng = random.Random(4)
         for _ in range(60):
             assert chaincore.verify_dd_zero(random_two_complex(rng))
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_complex_parts())
+    def test_sides_resolve_to_lowest_index_edge(self, parts):
+        vertices, edges, triangles = parts
+        expected = reference_boundary2(edges, triangles)
+        if expected is None:
+            with pytest.raises(CyclosError):
+                ChainComplex(vertices, edges, triangles)
+        else:
+            assert ChainComplex(vertices, edges, triangles).boundary2 == expected
 
 
 class TestCycleSpace:
@@ -341,6 +378,9 @@ class TestJsonRoundTrip:
         cx = triangle_complex(filled=True)
         again = ChainComplex.from_json_obj(cx.to_json_obj())
         assert again.edges == cx.edges and again.triangles == cx.triangles
+
+    def test_numpy_integer_indices(self):
+        assert Chain1.from_dict({np.int64(2): 1, np.int32(0): 3}) == Chain1.from_dict({0: 3, 2: 1})
 
     def test_chain_rationals(self):
         chain = Chain1.from_dict({0: Fraction(1, 3), 2: -2})

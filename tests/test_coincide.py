@@ -4,12 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclos import chaincore, coincide
-from cyclos.chaincore import Chain1
+from cyclos.chaincore import Chain1, ChainComplex
 from cyclos.coincide import CoincidenceWindow, SpikeTrain
 from cyclos.errors import PreconditionError, WindowError
-from cyclos.phasecode import Oscillator
+from cyclos.persist import compute_barcode, window_filtration
+from cyclos.phasecode import Oscillator, circular_distance, wrap_time
 
 OSC = Oscillator(8.0)  # 0.125 s period
 TWO_PI = 2 * math.pi
@@ -249,3 +251,93 @@ class TestCoincidencePersistence:
                     bad_seeds += 1
                     break
         assert bad_seeds <= 4
+
+
+# -- reference: pair enumeration, capping and per-window filtering as three passes --
+
+
+def reference_pairs(train, osc, limit):
+    """All (i, j, t, t') pairs with t < t' within the phase window, time order."""
+    phases = [(neuron, t, wrap_time(t, osc)) for neuron, t in train.spikes]
+    pairs = []
+    for a in range(len(phases)):
+        i, t, phase_a = phases[a]
+        for b in range(a + 1, len(phases)):
+            j, t_next, phase_b = phases[b]
+            if t_next <= t or i == j:
+                continue
+            if circular_distance(phase_a, phase_b) <= limit:
+                pairs.append((i, j, t, t_next))
+    return pairs
+
+
+def reference_cap(pairs, cap):
+    kept, overflow = [], {}
+    counts = {}
+    for i, j, t, t2 in pairs:
+        key = (i, j)
+        counts[key] = counts.get(key, 0) + 1
+        if counts[key] <= cap:
+            kept.append((i, j, t, t2))
+        else:
+            overflow[key] = overflow.get(key, 0) + 1
+    return kept, overflow
+
+
+def reference_persistence(train, osc, deltas, cap):
+    all_pairs, _ = reference_cap(reference_pairs(train, osc, deltas[-1]), cap)
+    graphs = {}
+    for delta in deltas:
+        edges = []
+        for i, j, t, t2 in all_pairs:
+            if circular_distance(wrap_time(t, osc), wrap_time(t2, osc)) <= delta:
+                edges.append((i, j))
+        graphs[delta] = ChainComplex(list(range(train.neurons)), edges)
+    return compute_barcode(window_filtration(graphs))
+
+
+NEAR_PI = (math.nextafter(math.pi, 0.0), math.pi - 1e-9, 3.0)
+# a coarse time grid gives tied spike times and phase distances that repeat exactly
+TIMES = st.integers(0, 48).map(lambda k: k / 96) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def coincidence_inputs(draw):
+    neurons = draw(st.integers(0, 4))
+    spikes = []
+    if neurons:
+        spikes = draw(st.lists(st.tuples(st.integers(0, neurons - 1), TIMES), max_size=14))
+    train = SpikeTrain(neurons, spikes)
+    offset = draw(st.sampled_from([0.0]) | st.floats(-7.0, 7.0))
+    osc = Oscillator(draw(st.sampled_from([8.0, 5.3])), offset)
+    # windows placed exactly at a spike pair's phase distance hit the <= edge
+    phases = [wrap_time(t, osc) for _, t in train.spikes]
+    exact = sorted({circular_distance(a, b) for a in phases for b in phases} - {0.0})
+    exact = [d for d in exact if d < math.pi]
+    windows = st.floats(1e-3, math.pi, exclude_max=True) | st.sampled_from(NEAR_PI)
+    if exact:
+        windows = windows | st.sampled_from(exact)
+    deltas = sorted(set(draw(st.lists(windows, min_size=1, max_size=5))))
+    return train, osc, deltas, draw(st.integers(1, 3))
+
+
+class TestOnePassOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(coincidence_inputs())
+    def test_matches_three_pass_reference(self, inputs):
+        train, osc, deltas, cap = inputs
+        for delta in deltas:
+            window = CoincidenceWindow(delta)
+            kept, overflow = reference_cap(reference_pairs(train, osc, delta), cap)
+            edges = tuple((i, j) for i, j, _, _ in kept)
+            assert coincide.build_coincidence_graph(train, osc, window, cap).edges == edges
+            result = coincide.closed_part(train, osc, window, cap)
+            assert result.graph.edges == edges
+            assert list(result.multiplicity_overflow.items()) == list(overflow.items())
+            graph = ChainComplex(list(range(train.neurons)), edges)
+            aggregate = Chain1.from_dict({idx: 1 for idx in range(len(edges))})
+            expected = chaincore.project_to_cycles(aggregate, graph)
+            assert result.closed.coefficients == expected.coefficients
+        barcode = coincide.coincidence_persistence(train, osc, deltas, cap)
+        expected = reference_persistence(train, osc, deltas, cap)
+        assert barcode.to_json_obj() == expected.to_json_obj()

@@ -1,4 +1,5 @@
-"""The JSON loaders keep the error contract: bad input raises a CyclosError."""
+"""The JSON loaders and the constructors keep the error contract: bad input
+raises a CyclosError."""
 
 import math
 
@@ -9,6 +10,7 @@ from cyclos.chaincore import Chain1, ChainComplex
 from cyclos.coincide import SpikeTrain
 from cyclos.errors import CyclosError
 from cyclos.persist import Bar, Barcode, Filtration
+from cyclos.phasecode import Oscillator
 
 LOADERS = (
     Chain1.from_json_obj,
@@ -72,3 +74,23 @@ class TestMalformedInput:
             loader(obj)
         except CyclosError:
             pass
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: ChainComplex([0], [(0,)]), id="complex-one-element-edge"),
+        pytest.param(lambda: ChainComplex([0, 1, 2], [(0, 1, 2)]),
+                     id="complex-three-element-edge"),
+        pytest.param(lambda: ChainComplex([0, 1, 2], [(0, 1), (1, 2), (2, 0)], [(0, 1)]),
+                     id="complex-two-element-triangle"),
+        pytest.param(lambda: Chain1.from_dict({1.5: 1}), id="chain-fractional-index"),
+        pytest.param(lambda: Chain1.from_dict({True: 1}), id="chain-bool-index"),
+        pytest.param(lambda: Chain1.from_dict({"1": 1}), id="chain-string-index"),
+        pytest.param(lambda: Oscillator(math.nan), id="oscillator-nan-frequency"),
+        pytest.param(lambda: Oscillator(math.inf), id="oscillator-inf-frequency"),
+        pytest.param(lambda: Oscillator(8.0, math.nan), id="oscillator-nan-offset"),
+        pytest.param(lambda: Oscillator(8.0, -math.inf), id="oscillator-inf-offset"),
+    ])
+    def test_rejected_with_cyclos_error(self, build):
+        with pytest.raises(CyclosError):
+            build()
