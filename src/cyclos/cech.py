@@ -18,7 +18,6 @@ so the cocycle is computable from restrictions and open forms alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -159,9 +158,6 @@ class Obstruction:
 class GlobalSection:
     sections: tuple[np.ndarray, ...]
 
-    def restrict_to(self, i: int) -> np.ndarray:
-        return self.sections[i]
-
 
 def glue_sections(sheaf: SheafData, cover: Cover, tol: float = TOL):
     """Assemble the global section, or report the violating overlaps."""
@@ -201,11 +197,8 @@ def _colimit_reducer(cosheaf: CosheafData, nerve: ChainComplex):
             for r in range(dims[j]):
                 col[offsets[j] + r] -= Fraction(float(into_j[r, h]))
             columns.append(col)
-    if columns:
-        rows, pivots = ratlin.column_space_rows(ratlin.transpose(columns))
-    else:
-        rows, pivots = [], []
-    return offsets, total, rows, pivots
+    reduced, pivots = ratlin.rref(columns) if columns else ([], [])
+    return offsets, total, reduced[: len(pivots)], pivots
 
 
 def cosheaf_colimit(cosheaf: CosheafData, cover: Cover, tol: float = TOL):

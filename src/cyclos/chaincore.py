@@ -118,9 +118,10 @@ class ChainComplex:
     """Vertices, oriented edges, optional triangles, and boundary matrices.
 
     Immutable after construction. Boundary matrices are derived from the
-    simplex lists; ``boundary2`` may be overridden for diagnostics (that is
+    simplex lists; ``boundary2`` may be overridden for diagnostics. That is
     the only way to build a complex violating d(d(.)) = 0, which
-    :func:`verify_dd_zero` then reports).
+    :func:`verify_dd_zero` then reports and which ``betti(1)`` and the
+    homology classes assume.
     """
 
     def __init__(
@@ -131,24 +132,25 @@ class ChainComplex:
         *,
         boundary2_override: Sequence[Sequence[int]] | None = None,
     ):
-        self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise CyclosError("duplicate vertex ids")
-        with malformed("simplex list"):
+        with malformed("simplex list"):  # unhashable ids, wrong lengths, bad override
+            self.vertices = tuple(vertices)
+            self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
+            if len(self._vertex_index) != len(self.vertices):
+                raise CyclosError("duplicate vertex ids")
             self.edges = tuple((t, h) for t, h in edges)
             self.triangles = tuple((a, b, c) for a, b, c in triangles)
-        self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
+            for tail, head in self.edges:
+                if tail not in self._vertex_index or head not in self._vertex_index:
+                    raise CyclosError(f"edge ({tail!r}, {head!r}) references unknown vertex")
 
-        for tail, head in self.edges:
-            if tail not in self._vertex_index or head not in self._vertex_index:
-                raise CyclosError(f"edge ({tail!r}, {head!r}) references unknown vertex")
-
-        if boundary2_override is not None:
-            self.boundary2 = [list(map(int, row)) for row in boundary2_override]
-            if len(self.boundary2) != len(self.edges):
-                raise CyclosError("boundary2 override has wrong row count")
-        else:
-            self.boundary2 = self._build_boundary2()
+            if boundary2_override is not None:
+                self.boundary2 = [list(map(int, row)) for row in boundary2_override]
+                if len(self.boundary2) != len(self.edges) or any(
+                    len(row) != len(self.triangles) for row in self.boundary2
+                ):
+                    raise CyclosError("boundary2 override must be edges x triangles")
+            else:
+                self.boundary2 = self._build_boundary2()
 
     # -- construction helpers -------------------------------------------------
 
@@ -162,15 +164,12 @@ class ChainComplex:
         return mat
 
     def _build_boundary2(self) -> list[list[int]]:
-        """Each triangle side maps to the lowest-index edge matching it up to
-        orientation, with sign -1 when that edge runs against the side."""
+        """Triangle (a, b, c) has boundary a->b + b->c + c->a, each side
+        resolved by :func:`side_edges`."""
         if not self.triangles:
             return [[] for _ in self.edges]
         mat = [[0] * len(self.triangles) for _ in self.edges]
-        sides: dict[tuple[VertexId, VertexId], tuple[int, int]] = {}
-        for j, (tail, head) in enumerate(self.edges):
-            sides.setdefault((tail, head), (j, 1))
-            sides.setdefault((head, tail), (j, -1))
+        sides = side_edges(self.edges)
         for j, (a, b, c) in enumerate(self.triangles):
             for side in ((a, b), (b, c), (c, a)):
                 if side not in sides:
@@ -218,10 +217,23 @@ class ChainComplex:
         tree = {j for _, j, _ in self._parents.values()}
         return [j for j in range(len(self.edges)) if j not in tree]
 
-    # -- basic queries ---------------------------------------------------------
+    @cached_property
+    def _boundary2_reducer(self) -> tuple[list[list[Fraction]], list[int]]:
+        """RREF rows and pivots spanning the boundary2 image in cycle
+        coordinates, computed on first access.
 
-    def vertex_index(self, v: VertexId) -> int:
-        return self._vertex_index[v]
+        A cycle's coordinates are its coefficients on the non-tree edges
+        (:func:`_cycle_coordinates`), so each row is a triangle column read
+        on those edges.
+        """
+        if not self.triangles:
+            return [], []
+        columns = [[self.boundary2[j][t] for j in self._nontree_edges]
+                   for t in range(len(self.triangles))]
+        reduced, pivots = ratlin.rref(columns)
+        return reduced[: len(pivots)], pivots
+
+    # -- basic queries ---------------------------------------------------------
 
     def n_components(self) -> int:
         return len(self.vertices) - len(self._parents)
@@ -266,6 +278,23 @@ class ChainComplex:
 # -- operations ------------------------------------------------------------------
 
 
+def side_edges(
+    edges: Sequence[tuple[VertexId, VertexId]],
+) -> dict[tuple[VertexId, VertexId], tuple[int, int]]:
+    """Map each oriented side to the lowest-index edge matching it in either
+    orientation, with sign -1 when that edge runs against the side.
+
+    This is the one rule by which a triangle side meets a (possibly parallel
+    or antiparallel) edge: ``ChainComplex`` builds boundary2 with it and
+    ``persist.compute_barcode`` reduces with it.
+    """
+    sides: dict[tuple[VertexId, VertexId], tuple[int, int]] = {}
+    for j, (tail, head) in enumerate(edges):
+        sides.setdefault((tail, head), (j, 1))
+        sides.setdefault((head, tail), (j, -1))
+    return sides
+
+
 def boundary1(chain: Chain1, complex_: ChainComplex) -> dict[VertexId, Fraction]:
     """Boundary of a 1-chain: sum of coeff * (head - tail) per edge."""
     out: dict[VertexId, Fraction] = {}
@@ -279,11 +308,12 @@ def boundary1(chain: Chain1, complex_: ChainComplex) -> dict[VertexId, Fraction]
 
 
 def verify_dd_zero(complex_: ChainComplex) -> bool:
-    """True iff boundary1 . boundary2 is the zero matrix (exact)."""
-    if not complex_.triangles or not complex_.edges:
-        return True
-    product = ratlin.mat_mul(complex_.boundary1, complex_.boundary2)
-    return ratlin.is_zero_matrix(product)
+    """True iff boundary1 . boundary2 is zero: every triangle column is a cycle."""
+    return not any(
+        boundary1(Chain1.from_dict({j: row[t] for j, row in enumerate(complex_.boundary2)}),
+                  complex_)
+        for t in range(len(complex_.triangles))
+    )
 
 
 def cycle_space_basis(complex_: ChainComplex) -> list[Chain1]:
@@ -326,24 +356,12 @@ def _cycle_coordinates(chain: Chain1, complex_: ChainComplex) -> list[Fraction]:
     return [lookup.get(j, Fraction(0)) for j in complex_._nontree_edges]
 
 
-def _boundary2_reducer(complex_: ChainComplex):
-    """RREF rows/pivots spanning the boundary2 image in cycle coordinates."""
-    cols = []
-    for t_idx in range(len(complex_.triangles)):
-        cols.append([Fraction(complex_.boundary2[j][t_idx]) for j in complex_._nontree_edges])
-    if not cols:
-        return [], []
-    return ratlin.column_space_rows(ratlin.transpose(cols))
-
-
 def homology_class(cycle: Chain1, complex_: ChainComplex) -> HomologyClass1:
     bnd = boundary1(cycle, complex_)
     if bnd:
         raise ClosureError(f"chain is not a cycle; boundary supported on {sorted(map(str, bnd))}")
     coords = _cycle_coordinates(cycle, complex_)
-    rows, pivots = _boundary2_reducer(complex_)
-    reduced = ratlin.reduce_mod_rows(coords, rows, pivots) if rows else coords
-    return HomologyClass1(tuple(reduced))
+    return HomologyClass1(tuple(ratlin.reduce_mod_rows(coords, *complex_._boundary2_reducer)))
 
 
 def homologous(z1: Chain1, z2: Chain1, complex_: ChainComplex) -> bool:
@@ -352,8 +370,7 @@ def homologous(z1: Chain1, z2: Chain1, complex_: ChainComplex) -> bool:
 
 def homology_basis_cycles(complex_: ChainComplex) -> list[Chain1]:
     """Cycles whose classes form a basis of H1 over the rationals."""
-    rows, pivots = _boundary2_reducer(complex_)
-    pivot_set = set(pivots)
+    pivot_set = set(complex_._boundary2_reducer[1])
     return [
         complex_.fundamental_cycle(j)
         for pos, j in enumerate(complex_._nontree_edges)
@@ -362,10 +379,14 @@ def homology_basis_cycles(complex_: ChainComplex) -> list[Chain1]:
 
 
 def betti(complex_: ChainComplex, dim: int) -> int:
+    """Betti number in dimension 0 or 1.
+
+    ``betti(1)`` is the cycle rank minus the rank of boundary2 in cycle
+    coordinates, which equals rank(ker boundary1) - rank(boundary2) only when
+    d(d(.)) = 0; a diagnostic ``boundary2_override`` can break that.
+    """
     if dim == 0:
         return complex_.n_components()
     if dim == 1:
-        ker_dim = len(complex_._nontree_edges)
-        rank_b2 = ratlin.rank(complex_.boundary2) if complex_.triangles else 0
-        return ker_dim - rank_b2
+        return len(complex_._nontree_edges) - len(complex_._boundary2_reducer[1])
     raise CyclosError(f"unsupported dimension {dim}; only 0 and 1 are computed")

@@ -13,8 +13,11 @@ one list instead of measuring every pair again.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Mapping, Sequence
 
 from . import chaincore
@@ -133,35 +136,30 @@ def closed_part(
     return CoincidenceResult(graph, aggregate, closed, cls, overflow)
 
 
-def _union_complex(graphs: Sequence[ChainComplex]) -> tuple[ChainComplex, list[dict[int, int]]]:
+def _union_complex(
+    graphs: Sequence[ChainComplex], union_counts: Counter
+) -> tuple[ChainComplex, list[dict[int, int]]]:
     """Shared multigraph matching edges by (tail, head) and occurrence.
 
+    ``union_counts`` holds each edge's largest multiplicity over the graphs.
     Returns the union complex and, per input graph, the map from its edge
     indices to union edge indices.
     """
-    max_counts: dict[tuple, int] = {}
-    for g in graphs:
-        counts: dict[tuple, int] = {}
-        for e in g.edges:
-            counts[e] = counts.get(e, 0) + 1
-        for e, c in counts.items():
-            max_counts[e] = max(max_counts.get(e, 0), c)
     union_edges = []
     slot: dict[tuple[tuple, int], int] = {}
-    for e in sorted(max_counts):
-        for occurrence in range(max_counts[e]):
+    for e in sorted(union_counts):
+        for occurrence in range(union_counts[e]):
             slot[(e, occurrence)] = len(union_edges)
             union_edges.append(e)
     vertices = sorted({v for g in graphs for v in g.vertices})
     union = ChainComplex(vertices, union_edges)
     mappings = []
     for g in graphs:
-        seen: dict[tuple, int] = {}
+        seen: Counter = Counter()
         mapping = {}
         for idx, e in enumerate(g.edges):
-            occurrence = seen.get(e, 0)
-            seen[e] = occurrence + 1
-            mapping[idx] = slot[(e, occurrence)]
+            mapping[idx] = slot[(e, seen[e])]
+            seen[e] += 1
         mappings.append(mapping)
     return union, mappings
 
@@ -188,7 +186,9 @@ def trial_invariance(
         raise PreconditionError("trials must share one neuron set")
 
     results = [closed_part(t, osc, window, multiplicity_cap) for t in trials]
-    union, mappings = _union_complex([r.graph for r in results])
+    counts = [Counter(r.graph.edges) for r in results]
+    union_counts = reduce(operator.or_, counts)  # largest multiplicity per edge
+    union, mappings = _union_complex([r.graph for r in results], union_counts)
     classes = []
     for result, mapping in zip(results, mappings):
         embedded = Chain1.from_dict(
@@ -197,12 +197,7 @@ def trial_invariance(
         classes.append(chaincore.homology_class(embedded, union))
 
     ambiguous_pairs = sorted(
-        {
-            pair
-            for a in results
-            for b in results
-            for pair in _multiplicity_mismatches(a.graph, b.graph)
-        }
+        e for e, top in union_counts.items() if top > 1 and any(c[e] != top for c in counts)
     )
     invariant = all(c == classes[0] for c in classes)
     report = {
@@ -216,18 +211,6 @@ def trial_invariance(
         ],
     }
     return invariant, report
-
-
-def _multiplicity_mismatches(a: ChainComplex, b: ChainComplex):
-    counts_a: dict[tuple, int] = {}
-    counts_b: dict[tuple, int] = {}
-    for e in a.edges:
-        counts_a[e] = counts_a.get(e, 0) + 1
-    for e in b.edges:
-        counts_b[e] = counts_b.get(e, 0) + 1
-    for e in set(counts_a) | set(counts_b):
-        if counts_a.get(e, 0) != counts_b.get(e, 0) and max(counts_a.get(e, 0), counts_b.get(e, 0)) > 1:
-            yield e
 
 
 def coincidence_persistence(

@@ -5,6 +5,7 @@ can map them onto its exit-code contract (1 = validation error, 2 = failed
 property check).
 """
 
+import math
 import numbers
 from contextlib import contextmanager
 
@@ -28,6 +29,11 @@ def malformed(what: str, error: type[CyclosError] = CyclosError):
 def is_int(x) -> bool:
     """True for integers, including numpy's, but not for bools."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_finite(x) -> bool:
+    """True for finite real numbers, including numpy's, but not for bools."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 class MalformedChainError(CyclosError):
@@ -80,11 +86,3 @@ class TableError(CyclosError):
 
 class NoPeakError(CyclosError):
     """Accumulator contains no votes; argmax undefined."""
-
-
-class DivergenceError(CyclosError):
-    """Numerical integration left the finite range."""
-
-
-class InsufficientDataError(CyclosError):
-    """Not enough section crossings to analyse a trajectory."""

@@ -4,7 +4,11 @@ This is the one H0 engine in cyclos: ``ght.peak_persistence`` builds a
 filtration of its grid and reads the dim-0 bars of :func:`compute_barcode`.
 H0 runs on ``chaincore.UnionFind`` with the elder rule (ties broken by lower
 vertex id); H1 deaths come from standard GF(2) column reduction of the
-triangle columns, which is exact on the small complexes in scope.
+triangle columns, which is exact on the small complexes in scope. Triangle
+sides resolve to edges by ``chaincore.side_edges``, the rule ``ChainComplex``
+builds boundary2 with, so the barcode reduces the boundary matrix of
+``Filtration.complex_at`` (Zomorodian & Carlsson, "Computing persistent
+homology", 2005).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .chaincore import ChainComplex, UnionFind
+from .chaincore import ChainComplex, UnionFind, side_edges
 from .errors import CyclosError, FiltrationError, MonotonicityError, malformed
 
 INF = math.inf
@@ -169,21 +173,18 @@ def compute_barcode(filtration: Filtration) -> Barcode:
         return (vertex_birth[root], _id_sort_key(root))
 
     bars: list[Bar] = []
-    # GF(2) reduction state for triangle columns: creator edge step -> column
-    edge_steps: list[tuple] = []  # step order of edges, for side lookup
+    # edges are positioned in step order, as in complex_at; validation puts
+    # the lowest-index edge of every triangle side before the triangle
+    sides = side_edges([step.simplex for step in filtration.steps if step.kind == "edge"])
+    pos = 0  # position of the next edge
     creator_edges: dict[int, float] = {}  # edge position -> birth value of its H1 class
     low_owner: dict[int, set[int]] = {}  # pivot edge position -> reduced column (set of edge pos)
-
-    edge_positions: dict[tuple, list[int]] = {}
 
     for step in filtration.steps:
         if step.kind == "vertex":
             uf.add(step.simplex[0])
             vertex_birth[step.simplex[0]] = step.value
         elif step.kind == "edge":
-            pos = len(edge_steps)
-            edge_steps.append(step.simplex)
-            edge_positions.setdefault(step.simplex, []).append(pos)
             tail, head = step.simplex
             rt, rh = uf.find(tail), uf.find(head)
             if rt == rh:
@@ -192,12 +193,12 @@ def compute_barcode(filtration: Filtration) -> Barcode:
                 elder, younger = sorted((rt, rh), key=elder_order)
                 bars.append(Bar(0, vertex_birth[younger], step.value))
                 uf.union(elder, younger)
+            pos += 1
         else:
             a, b, c = step.simplex
             column: set[int] = set()
             for side in ((a, b), (b, c), (c, a)):
-                positions = edge_positions.get(side) or edge_positions.get((side[1], side[0]))
-                column ^= {positions[0]}
+                column ^= {sides[side][0]}
             while column:
                 low = max(column)
                 if low in low_owner:

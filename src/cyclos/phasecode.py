@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .chaincore import Chain1, ChainComplex
-from .errors import ClosureError, CyclosError, UnwrapError
+from .errors import ClosureError, CyclosError, UnwrapError, is_finite
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_CLOSURE_TOL = 1e-9
@@ -25,9 +25,9 @@ class Oscillator:
 
     def __post_init__(self):
         frequency, offset = self.frequency_hz, self.phase_offset
-        if not (math.isfinite(frequency) and frequency > 0):
+        if not (is_finite(frequency) and frequency > 0):
             raise CyclosError(f"oscillator frequency must be finite and > 0, got {frequency!r}")
-        if not math.isfinite(offset):
+        if not is_finite(offset):
             raise CyclosError(f"oscillator phase offset must be finite, got {offset!r}")
 
     @property

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .errors import ConfigError, CyclosError
+from .errors import ConfigError, is_finite
 
 DEFAULT_MAX_CYCLE_LEN = 8
 
@@ -42,13 +42,13 @@ class DelayNetwork:
     w_max: float = 1.0
 
     def __post_init__(self):
-        if self.neuron_count < 0 or self.k < 1 or self.delta <= 0 or self.refractory < 0:
-            raise ConfigError("invalid network parameters")
+        if self.neuron_count < 0 or self.k < 1 or not self.delta > 0 or not self.refractory >= 0:
+            raise ConfigError("invalid network parameters")  # the negated tests reject NaN
         for idx, syn in enumerate(self.synapses):
             if not (0 <= syn.pre < self.neuron_count and 0 <= syn.post < self.neuron_count):
                 raise ConfigError(f"synapse {idx} references unknown neuron")
-            if syn.delay <= 0:
-                raise ConfigError(f"synapse {idx} has non-positive delay")
+            if not (is_finite(syn.delay) and syn.delay > 0):
+                raise ConfigError(f"synapse {idx} delay must be finite and > 0")
             if not (0.0 <= syn.weight <= self.w_max):
                 raise ConfigError(f"synapse {idx} weight outside [0, {self.w_max}]")
 
@@ -103,9 +103,6 @@ class EventLog:
 
     def spikes_of(self, neuron: int) -> list[float]:
         return [t for t, n, _ in self.records if n == neuron]
-
-    def to_csv_rows(self) -> list[tuple[float, int, str]]:
-        return list(self.records)
 
 
 @dataclass(frozen=True)
@@ -228,6 +225,8 @@ def find_resonant_cycles(
     Parallel synapses count as distinct hops. Sorted by weight product
     descending.
     """
+    if not (is_finite(t_theta) and t_theta > 0):
+        raise ConfigError(f"t_theta must be finite and > 0, got {t_theta!r}")
     if max_len < 2:
         raise ConfigError("max_len must be at least 2")
     if max_len > safety_cap:

@@ -36,16 +36,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     return out
 
 
-def transpose(a: Sequence[Sequence]) -> Matrix:
-    if not a:
-        return []
-    return [[Fraction(a[i][j]) for i in range(len(a))] for j in range(len(a[0]))]
-
-
-def is_zero_matrix(a: Sequence[Sequence]) -> bool:
-    return all(entry == 0 for row in a for entry in row)
-
-
 def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form with lowest-index pivoting.
 
@@ -74,10 +64,6 @@ def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def rank(a: Sequence[Sequence]) -> int:
-    return len(rref(a)[1])
-
-
 def solve_gaussian(a: Sequence[Sequence], b: Sequence) -> Row:
     """Solve a square nonsingular system exactly."""
     n = len(a)
@@ -86,13 +72,6 @@ def solve_gaussian(a: Sequence[Sequence], b: Sequence) -> Row:
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("singular or inconsistent system")
     return [reduced[i][n] for i in range(n)]
-
-
-def column_space_rows(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """RREF rows spanning the column space of ``a`` (computed on transpose)."""
-    reduced, pivots = rref(transpose(a))
-    rows = [row for row in reduced[: len(pivots)]]
-    return rows, pivots
 
 
 def reduce_mod_rows(v: Sequence, rows: Sequence[Sequence], pivots: Sequence[int]) -> Row:

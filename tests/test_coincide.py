@@ -341,3 +341,75 @@ class TestOnePassOracle:
         barcode = coincide.coincidence_persistence(train, osc, deltas, cap)
         expected = reference_persistence(train, osc, deltas, cap)
         assert barcode.to_json_obj() == expected.to_json_obj()
+
+
+# -- reference: trial invariance with pairwise multiplicity comparison --
+
+
+def _edge_counts(graph):
+    counts = {}
+    for e in graph.edges:
+        counts[e] = counts.get(e, 0) + 1
+    return counts
+
+
+def reference_trial_invariance(trials, osc, window, epsilon, cap):
+    """Union of per-trial count dicts; ambiguous pairs from every ordered pair of trials."""
+    results = [coincide.closed_part(t, osc, window, cap) for t in trials]
+    per_trial = [_edge_counts(r.graph) for r in results]
+    max_counts = {}
+    for counts in per_trial:
+        for e, c in counts.items():
+            max_counts[e] = max(max_counts.get(e, 0), c)
+    union_edges, slot = [], {}
+    for e in sorted(max_counts):
+        for occurrence in range(max_counts[e]):
+            slot[(e, occurrence)] = len(union_edges)
+            union_edges.append(e)
+    union = ChainComplex(sorted({v for r in results for v in r.graph.vertices}), union_edges)
+    classes = []
+    for r in results:
+        seen, mapping = {}, {}
+        for idx, e in enumerate(r.graph.edges):
+            mapping[idx] = slot[(e, seen.get(e, 0))]
+            seen[e] = seen.get(e, 0) + 1
+        embedded = Chain1.from_dict({mapping[idx]: c for idx, c in r.closed.coefficients})
+        classes.append(chaincore.homology_class(embedded, union))
+    ambiguous = set()
+    for a in per_trial:
+        for b in per_trial:
+            for e in set(a) | set(b):
+                if a.get(e, 0) != b.get(e, 0) and max(a.get(e, 0), b.get(e, 0)) > 1:
+                    ambiguous.add(e)
+    invariant = all(c == classes[0] for c in classes)
+    return invariant, {
+        "invariant": invariant,
+        "epsilon": epsilon,
+        "delta": window.delta,
+        "per_trial_class": [[str(c) for c in cls.coordinates] for cls in classes],
+        "ambiguous_parallel_pairs": [list(p) for p in sorted(ambiguous)],
+        "multiplicity_overflow": [
+            {f"{i}->{j}": n for (i, j), n in r.multiplicity_overflow.items()} for r in results
+        ],
+    }
+
+
+@st.composite
+def trial_inputs(draw):
+    """A few trials on one neuron set; coarse times give parallel edges whose
+    multiplicities differ from trial to trial."""
+    neurons = draw(st.integers(2, 4))
+    spike = st.tuples(st.integers(0, neurons - 1), st.integers(0, 24).map(lambda k: k / 96))
+    trials = [SpikeTrain(neurons, draw(st.lists(spike, max_size=10)))
+              for _ in range(draw(st.integers(1, 4)))]
+    window = CoincidenceWindow(draw(st.floats(0.05, 3.0)))
+    return trials, window, window.delta / 2, draw(st.integers(1, 3))
+
+
+class TestTrialInvarianceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(trial_inputs())
+    def test_matches_pairwise_reference(self, inputs):
+        trials, window, epsilon, cap = inputs
+        got = coincide.trial_invariance(trials, OSC, window, epsilon, cap)
+        assert got == reference_trial_invariance(trials, OSC, window, epsilon, cap)

@@ -11,6 +11,7 @@ from cyclos.coincide import SpikeTrain
 from cyclos.errors import CyclosError
 from cyclos.persist import Bar, Barcode, Filtration
 from cyclos.phasecode import Oscillator
+from cyclos.pngsim import DelayNetwork, Synapse, find_resonant_cycles
 
 LOADERS = (
     Chain1.from_json_obj,
@@ -90,6 +91,48 @@ class TestConstructors:
         pytest.param(lambda: Oscillator(math.inf), id="oscillator-inf-frequency"),
         pytest.param(lambda: Oscillator(8.0, math.nan), id="oscillator-nan-offset"),
         pytest.param(lambda: Oscillator(8.0, -math.inf), id="oscillator-inf-offset"),
+    ])
+    def test_rejected_with_cyclos_error(self, build):
+        with pytest.raises(CyclosError):
+            build()
+
+
+TRIANGLE_EDGES = [(0, 1), (1, 2), (2, 0)]
+
+
+def two_cycle(delay=2.0, **params):
+    """Neurons 0 and 1 joined both ways: one resonant cycle of 2 * delay ms."""
+    synapses = (Synapse(0, 1, 0.9, delay), Synapse(1, 0, 0.9, delay))
+    return DelayNetwork(2, synapses, **{"delta": 1.0, **params})
+
+
+def resonant_cycles(t_theta):
+    return find_resonant_cycles(two_cycle(), t_theta, delta=0.5, tau_gain=0.1, max_len=2)
+
+
+class TestErrorContract:
+    """Each row used to raise TypeError, ValueError or ZeroDivisionError, or
+    to pass silently, instead of raising a CyclosError."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: Oscillator("8"), id="oscillator-string-frequency"),
+        pytest.param(lambda: Oscillator(True), id="oscillator-bool-frequency"),
+        pytest.param(lambda: Oscillator(8.0, "0"), id="oscillator-string-offset"),
+        pytest.param(lambda: ChainComplex([[0]]), id="complex-list-vertex"),
+        pytest.param(lambda: ChainComplex([0, 1], [([0], 1)]), id="complex-list-endpoint"),
+        pytest.param(lambda: ChainComplex([0, 1, 2], TRIANGLE_EDGES, [([0], 1, 2)]),
+                     id="complex-list-triangle-vertex"),
+        pytest.param(lambda: ChainComplex([0, 1, 2], TRIANGLE_EDGES, [(0, 1, 2)],
+                                          boundary2_override=[[1, 1], [1], [1]]),
+                     id="complex-ragged-override"),
+        pytest.param(lambda: two_cycle(delay=math.nan), id="network-nan-delay"),
+        pytest.param(lambda: two_cycle(delay="2"), id="network-string-delay"),
+        pytest.param(lambda: two_cycle(delta=math.nan), id="network-nan-window"),
+        pytest.param(lambda: two_cycle(refractory=math.nan), id="network-nan-refractory"),
+        pytest.param(lambda: resonant_cycles(0.0), id="resonance-zero-period"),
+        pytest.param(lambda: resonant_cycles(math.nan), id="resonance-nan-period"),
+        pytest.param(lambda: resonant_cycles(-4.0), id="resonance-negative-period"),
+        pytest.param(lambda: resonant_cycles(math.inf), id="resonance-inf-period"),
     ])
     def test_rejected_with_cyclos_error(self, build):
         with pytest.raises(CyclosError):

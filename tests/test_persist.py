@@ -1,10 +1,12 @@
 """Barcode computation against brute-force Betti oracles."""
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclos.chaincore import ChainComplex
 from cyclos.errors import CyclosError, FiltrationError, MonotonicityError
@@ -129,6 +131,28 @@ class TestComputeBarcode:
                 assert barcode.alive_count(0, value) == beta0
                 assert barcode.alive_count(1, value) == beta1
 
+    def test_antiparallel_side_resolves_like_complex_at(self):
+        # side (0, 1) of the triangle is first matched by edge (1, 0) at 0, so
+        # the triangle fills the cycle born at 0 and the digon born at 2 lives
+        steps = [FiltrationStep(0.0, "vertex", (v,)) for v in (0, 1, 2)]
+        steps += [FiltrationStep(0.0, "edge", e) for e in ((1, 0), (1, 2), (2, 0))]
+        steps += [FiltrationStep(2.0, "edge", (0, 1)), FiltrationStep(3.0, "triangle", (0, 1, 2))]
+        barcode = compute_barcode(Filtration(steps))
+        assert [(b.birth, b.death) for b in barcode.in_dim(1)] == [(0.0, 3.0), (2.0, INF)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_persistent_betti_matches_numpy(self, data):
+        # bars alive on all of [s, t] count the cycles of K_s that are not
+        # boundaries in K_t, whatever the edges the triangle sides resolve to
+        filt = data.draw(small_filtrations())
+        barcode = compute_barcode(filt)
+        values = sorted({step.value for step in filt.steps})
+        for i, s in enumerate(values):
+            for t in values[i:]:
+                alive = sum(1 for b in barcode.in_dim(1) if b.birth <= s and b.death > t)
+                assert alive == persistent_betti1(filt, s, t), (s, t)
+
     def test_triangles_kill_at_most_one_bar(self):
         rng = random.Random(8)
         for _ in range(20):
@@ -137,6 +161,50 @@ class TestComputeBarcode:
             n_triangles = sum(1 for s in filt.steps if s.kind == "triangle")
             finite_h1 = [b for b in barcode.in_dim(1) if b.death != INF]
             assert len(finite_h1) <= n_triangles
+
+
+def _rank(matrix):
+    return int(np.linalg.matrix_rank(matrix)) if matrix.size else 0
+
+
+def persistent_betti1(filt, s, t):
+    """dim of Z1(K_s) / (Z1(K_s) & B1(K_t)) from numpy float ranks.
+
+    K_s's edges are the first rows of K_t's, so Z1(K_s) & B1(K_t) is the part
+    of B1(K_t) that vanishes on the later rows.
+    """
+    ks, kt = filt.complex_at(s), filt.complex_at(t)
+    d1 = np.array(ks.boundary1, dtype=float).reshape(len(ks.vertices), len(ks.edges))
+    d2 = np.array(kt.boundary2, dtype=float).reshape(len(kt.edges), len(kt.triangles))
+    cycles = len(ks.edges) - _rank(d1)
+    return cycles - (_rank(d2) - _rank(d2[len(ks.edges):]))
+
+
+@st.composite
+def small_filtrations(draw, max_vertices=5):
+    """At most 5 vertices (ranks over the reals then equal ranks over GF(2)),
+    parallel, antiparallel and self-loop edges, triangles on distinct
+    vertices, and many tied values."""
+    n = draw(st.integers(1, max_vertices))
+    vertex_value = {v: draw(st.integers(0, 3)) for v in range(n)}
+    steps = [FiltrationStep(float(x), "vertex", (v,)) for v, x in vertex_value.items()]
+    first_edge: dict = {}  # vertex pair -> value of its first edge
+    for pair in itertools.combinations_with_replacement(range(n), 2):
+        for forward in draw(st.lists(st.booleans(), max_size=2)):
+            tail, head = pair if forward else pair[::-1]
+            value = max(vertex_value[tail], vertex_value[head]) + draw(st.integers(0, 3))
+            steps.append(FiltrationStep(float(value), "edge", (tail, head)))
+            first_edge[frozenset(pair)] = min(first_edge.get(frozenset(pair), value), value)
+    triples = [
+        (a, b, c) for a, b, c in itertools.permutations(range(n), 3)
+        if {frozenset((a, b)), frozenset((b, c)), frozenset((c, a))} <= first_edge.keys()
+    ]
+    if triples:
+        for a, b, c in draw(st.lists(st.sampled_from(triples), min_size=1, max_size=5)):
+            sides = (frozenset((a, b)), frozenset((b, c)), frozenset((c, a)))
+            value = max(first_edge[side] for side in sides) + draw(st.integers(0, 2))
+            steps.append(FiltrationStep(float(value), "triangle", (a, b, c)))
+    return Filtration(steps)
 
 
 def _random_filtration(rng, with_triangles=False):
