@@ -26,7 +26,7 @@ import numpy as np
 
 from . import ratlin
 from .chaincore import ChainComplex, homology_basis_cycles
-from .errors import ClosureError, CyclosError, PreconditionError
+from .errors import ClosureError, CyclosError, PreconditionError, is_int, malformed
 
 TOL = 1e-9
 
@@ -39,9 +39,10 @@ class Cover:
     opens: tuple[frozenset, ...]
 
     def __init__(self, ground: Sequence, opens: Sequence):
-        object.__setattr__(self, "ground", tuple(ground))
-        object.__setattr__(self, "opens", tuple(frozenset(u) for u in opens))
-        ground_set = set(self.ground)
+        with malformed("cover"):
+            object.__setattr__(self, "ground", tuple(ground))
+            object.__setattr__(self, "opens", tuple(frozenset(u) for u in opens))
+            ground_set = set(self.ground)
         for idx, u in enumerate(self.opens):
             if not u:
                 raise CyclosError(f"open {idx} is empty")
@@ -57,7 +58,8 @@ class Cover:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Cover":
-        return cls(obj["ground"], obj["opens"])
+        with malformed("cover JSON"):
+            return cls(obj["ground"], obj["opens"])
 
 
 def build_nerve(cover: Cover) -> ChainComplex:
@@ -74,8 +76,28 @@ def build_nerve(cover: Cover) -> ChainComplex:
     return ChainComplex(list(range(n)), edges, triangles)
 
 
-def _as_matrix(m) -> np.ndarray:
-    return np.asarray(m, dtype=float)
+def _as_matrix(m, what: str) -> np.ndarray:
+    with malformed(what):
+        out = np.asarray(m, dtype=float)
+    if not np.isfinite(out).all():
+        raise CyclosError(f"{what} has a non-finite entry")
+    return out
+
+
+def _edge_key(key, n_opens: int, what: str) -> Edge:
+    """An overlap key: a pair (i, j) of open indices with i < j."""
+    if not (isinstance(key, tuple) and len(key) == 2 and all(map(is_int, key))
+            and 0 <= key[0] < key[1] < n_opens):
+        raise CyclosError(f"{what} keys must be (i, j) with 0 <= i < j < {n_opens}, got {key!r}")
+    return key
+
+
+def _edge_data(data: Mapping[Edge, object], edge: Edge, what: str):
+    """What ``data`` holds for a nerve edge; every nerve edge needs an entry."""
+    try:
+        return data[edge]
+    except KeyError:
+        raise PreconditionError(f"nerve edge {edge} has no {what}") from None
 
 
 @dataclass(frozen=True)
@@ -89,16 +111,16 @@ class SheafData:
 
     @classmethod
     def build(cls, sections, restrictions) -> "SheafData":
-        secs = tuple(_as_matrix(s).reshape(-1) for s in sections)
+        secs = tuple(_as_matrix(s, "section").reshape(-1) for s in sections)
         dims = tuple(len(s) for s in secs)
         rho = {}
         overlap_dims = {}
-        for (i, j), (from_i, from_j) in restrictions.items():
-            if i >= j:
-                raise CyclosError("restriction keys must be (i, j) with i < j")
-            a, b = _as_matrix(from_i), _as_matrix(from_j)
-            if a.shape[1] != dims[i] or b.shape[1] != dims[j] or a.shape[0] != b.shape[0]:
-                raise CyclosError(f"restriction shapes inconsistent on edge {(i, j)}")
+        for key, maps in restrictions.items():
+            i, j = _edge_key(key, len(dims), "restriction")
+            with malformed(f"restrictions on edge {key}"):
+                a, b = (_as_matrix(m, "restriction") for m in maps)
+                if a.shape[1] != dims[i] or b.shape[1] != dims[j] or a.shape[0] != b.shape[0]:
+                    raise CyclosError(f"restriction shapes inconsistent on edge {(i, j)}")
             rho[(i, j)] = (a, b)
             overlap_dims[(i, j)] = a.shape[0]
         return cls(dims, secs, overlap_dims, rho)
@@ -115,16 +137,16 @@ class CosheafData:
 
     @classmethod
     def build(cls, cosections, extensions) -> "CosheafData":
-        cosecs = tuple(_as_matrix(g).reshape(-1) for g in cosections)
+        cosecs = tuple(_as_matrix(g, "co-section").reshape(-1) for g in cosections)
         dims = tuple(len(g) for g in cosecs)
         iota = {}
         overlap_dims = {}
-        for (i, j), (into_i, into_j) in extensions.items():
-            if i >= j:
-                raise CyclosError("extension keys must be (i, j) with i < j")
-            a, b = _as_matrix(into_i), _as_matrix(into_j)
-            if a.shape[0] != dims[i] or b.shape[0] != dims[j] or a.shape[1] != b.shape[1]:
-                raise CyclosError(f"extension shapes inconsistent on edge {(i, j)}")
+        for key, maps in extensions.items():
+            i, j = _edge_key(key, len(dims), "extension")
+            with malformed(f"extensions on edge {key}"):
+                a, b = (_as_matrix(m, "extension") for m in maps)
+                if a.shape[0] != dims[i] or b.shape[0] != dims[j] or a.shape[1] != b.shape[1]:
+                    raise CyclosError(f"extension shapes inconsistent on edge {(i, j)}")
             iota[(i, j)] = (a, b)
             overlap_dims[(i, j)] = a.shape[1]
         return cls(dims, cosecs, overlap_dims, iota)
@@ -139,10 +161,9 @@ class Pairing:
 
     @classmethod
     def build(cls, open_forms, overlap_forms) -> "Pairing":
-        return cls(
-            tuple(_as_matrix(m) for m in open_forms),
-            {e: _as_matrix(m) for e, m in overlap_forms.items()},
-        )
+        forms = tuple(_as_matrix(m, "open form") for m in open_forms)
+        return cls(forms, {_edge_key(e, len(forms), "overlap form"): _as_matrix(m, "overlap form")
+                           for e, m in overlap_forms.items()})
 
 
 @dataclass(frozen=True)
@@ -164,7 +185,7 @@ def glue_sections(sheaf: SheafData, cover: Cover, tol: float = TOL):
     nerve = build_nerve(cover)
     mismatches = []
     for (i, j) in nerve.edges:
-        from_i, from_j = sheaf.restrictions[(i, j)]
+        from_i, from_j = _edge_data(sheaf.restrictions, (i, j), "restriction")
         residual = from_i @ sheaf.sections[i] - from_j @ sheaf.sections[j]
         norm = float(np.max(np.abs(residual))) if residual.size else 0.0
         if norm >= tol:
@@ -189,7 +210,7 @@ def _colimit_reducer(cosheaf: CosheafData, nerve: ChainComplex):
     total = offsets[-1]
     columns = []
     for (i, j) in nerve.edges:
-        into_i, into_j = cosheaf.extensions[(i, j)]
+        into_i, into_j = _edge_data(cosheaf.extensions, (i, j), "extension")
         for h in range(cosheaf.overlap_dims[(i, j)]):
             col = [Fraction(0)] * total
             for r in range(dims[i]):
@@ -241,9 +262,9 @@ def check_naturality(
     """Residuals of rho^T M_overlap = M_open iota on every edge endpoint."""
     violations = []
     for (i, j) in nerve.edges:
-        rho_i, rho_j = sheaf.restrictions[(i, j)]
-        iota_i, iota_j = cosheaf.extensions[(i, j)]
-        m_edge = pairing.overlap_forms[(i, j)]
+        rho_i, rho_j = _edge_data(sheaf.restrictions, (i, j), "restriction")
+        iota_i, iota_j = _edge_data(cosheaf.extensions, (i, j), "extension")
+        m_edge = _edge_data(pairing.overlap_forms, (i, j), "overlap form")
         for endpoint, rho, iota in ((i, rho_i, iota_i), (j, rho_j, iota_j)):
             residual = rho.T @ m_edge - pairing.open_forms[endpoint] @ iota
             norm = float(np.max(np.abs(residual))) if residual.size else 0.0
@@ -264,8 +285,8 @@ def adjoint_extensions(
     """
     out = {}
     for (i, j) in nerve.edges:
-        rho_i, rho_j = sheaf.restrictions[(i, j)]
-        m_edge = pairing.overlap_forms[(i, j)]
+        rho_i, rho_j = _edge_data(sheaf.restrictions, (i, j), "restriction")
+        m_edge = _edge_data(pairing.overlap_forms, (i, j), "overlap form")
         iota_i = np.linalg.solve(pairing.open_forms[i], rho_i.T @ m_edge)
         iota_j = np.linalg.solve(pairing.open_forms[j], rho_j.T @ m_edge)
         out[(i, j)] = (iota_i, iota_j)
@@ -296,7 +317,7 @@ def pairing_cocycle(
     diagnostics.
     """
     for (i, j) in nerve.edges:
-        m_edge = pairing.overlap_forms[(i, j)]
+        m_edge = _edge_data(pairing.overlap_forms, (i, j), "overlap form")
         if m_edge.size and np.linalg.matrix_rank(m_edge) < min(m_edge.shape):
             raise PreconditionError(f"overlap pairing on {(i, j)} is degenerate")
     if enforce_naturality:
@@ -309,7 +330,7 @@ def pairing_cocycle(
             )
     omega = {}
     for (i, j) in nerve.edges:
-        rho_i, rho_j = sheaf.restrictions[(i, j)]
+        rho_i, rho_j = _edge_data(sheaf.restrictions, (i, j), "restriction")
         s_i, s_j = sheaf.sections[i], sheaf.sections[j]
         g_i, g_j = cosheaf.cosections[i], cosheaf.cosections[j]
         m_i, m_j = pairing.open_forms[i], pairing.open_forms[j]

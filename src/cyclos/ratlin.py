@@ -3,10 +3,14 @@
 Matrices are lists of rows of :class:`~fractions.Fraction`. Everything here
 is deterministic: pivots are always chosen at the lowest row/column index, so
 reduced forms (and hence canonical representatives) are reproducible.
+:func:`rref` eliminates in integers and builds ``Fraction``s only for its
+result; the RREF of a rational matrix is unique, so it is the same matrix a
+``Fraction`` elimination gives.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,35 +43,54 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
 def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form with lowest-index pivoting.
 
-    Returns the reduced matrix and the list of pivot column indices.
+    Returns the reduced matrix, all ``len(a)`` rows with the zero rows after
+    the pivot rows, and the list of pivot column indices.
+
+    Fraction-free Gauss-Jordan (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 1968): each row is
+    scaled to integers by the lcm of its denominators, which changes neither
+    its span nor its zero entries, so pivots and swaps are those of a
+    ``Fraction`` elimination. A row is eliminated by integer
+    cross-multiplication and then divided by the gcd of its entries, which
+    keeps its integers small. Pivot rows are divided by their pivots once,
+    at the end.
     """
-    m = [list(map(Fraction, row)) for row in a]
+    m = []
+    for row in a:
+        q = [Fraction(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in q))
+        m.append([x.numerator * (scale // x.denominator) for x in q])
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [entry / inv for entry in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                new = [p * x - f * y for x, y in zip(m[i], prow)]
+                g = math.gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return m, pivots
+    zero = Fraction(0)
+    reduced = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
+    reduced += [[zero] * n_cols for _ in range(n_rows - r)]
+    return reduced, pivots
 
 
 def solve_gaussian(a: Sequence[Sequence], b: Sequence) -> Row:
     """Solve a square nonsingular system exactly."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    aug = [[*row, b[i]] for i, row in enumerate(a)]
     reduced, pivots = rref(aug)
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("singular or inconsistent system")

@@ -8,6 +8,7 @@ triangle boundaries.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from cyclos.cech import (
     glue_sections,
     pairing_cocycle,
 )
-from cyclos.errors import ClosureError
+from cyclos.errors import ClosureError, CyclosError
 
 DIM = 2
 SEEDS = st.integers(0, 2**32 - 1)
@@ -192,3 +193,59 @@ def test_cocycle_class_rejects_an_open_cochain():
     omega[nerve.edges[0]] = 1.0
     with pytest.raises(ClosureError):
         cocycle_class(omega, nerve)
+
+
+I2 = np.eye(DIM)
+V2 = np.ones(DIM)
+NAN_V2 = np.array([math.nan, 0.0])
+INF_I2 = np.array([[math.inf, 0.0], [0.0, 1.0]])
+PATH_COVER = Cover(range(4), [{0, 1}, {1, 2}, {2, 3}])  # nerve edges (0, 1) and (1, 2)
+PATH_NERVE = build_nerve(PATH_COVER)
+PATH_MAPS = {(0, 1): (I2, I2), (1, 2): (I2, I2)}
+PATH_SHEAF = SheafData.build([V2] * 3, PATH_MAPS)
+PATH_COSHEAF = CosheafData.build([V2] * 3, PATH_MAPS)
+PATH_PAIRING = Pairing.build([I2] * 3, {(0, 1): I2, (1, 2): I2})
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: glue_sections(SheafData.build([V2] * 3, {(0, 1): (I2, I2)}), PATH_COVER),
+                 id="glue-missing-restriction"),
+    pytest.param(lambda: cosheaf_colimit(CosheafData.build([V2] * 3, {(0, 1): (I2, I2)}),
+                                         PATH_COVER),
+                 id="colimit-missing-extension"),
+    pytest.param(lambda: pairing_cocycle(PATH_SHEAF, PATH_COSHEAF,
+                                         Pairing.build([I2] * 3, {(0, 1): I2}), PATH_NERVE),
+                 id="cocycle-missing-overlap-form"),
+    pytest.param(lambda: pairing_cocycle(SheafData.build([V2] * 3, {(0, 1): (I2, I2)}),
+                                         PATH_COSHEAF, PATH_PAIRING, PATH_NERVE),
+                 id="cocycle-missing-restriction"),
+    pytest.param(lambda: cosheaf_colimit(CosheafData.build([NAN_V2, V2, V2], PATH_MAPS),
+                                         PATH_COVER),
+                 id="colimit-nan-cosection"),
+    pytest.param(lambda: cosheaf_colimit(
+        CosheafData.build([V2] * 3, {**PATH_MAPS, (1, 2): (I2, I2 * math.nan)}), PATH_COVER),
+                 id="colimit-nan-extension"),
+    pytest.param(lambda: cosheaf_colimit(CosheafData.build([V2 * math.inf, V2, V2], PATH_MAPS),
+                                         PATH_COVER),
+                 id="colimit-inf-cosection"),
+    pytest.param(lambda: cosheaf_colimit(
+        CosheafData.build([V2] * 3, {**PATH_MAPS, (0, 1): (INF_I2, I2)}), PATH_COVER),
+                 id="colimit-inf-extension"),
+    pytest.param(lambda: SheafData.build([V2] * 2, {(0, 2): (I2, I2)}),
+                 id="sheaf-key-names-missing-open"),
+    pytest.param(lambda: SheafData.build([V2] * 2, {(-1, 0): (I2, I2)}),
+                 id="sheaf-negative-key"),
+    pytest.param(lambda: CosheafData.build([V2] * 2, {(0, 2): (I2, I2)}),
+                 id="cosheaf-key-names-missing-open"),
+    pytest.param(lambda: Pairing.build([I2] * 2, {(0, 2): I2}),
+                 id="pairing-key-names-missing-open"),
+    pytest.param(lambda: pairing_cocycle(
+        PATH_SHEAF, PATH_COSHEAF,
+        Pairing.build([I2 * math.nan, I2, I2], PATH_PAIRING.overlap_forms), PATH_NERVE),
+                 id="cocycle-nan-open-form"),
+    pytest.param(lambda: Cover([0], [[[0]]]), id="cover-unhashable-point"),
+    pytest.param(lambda: Cover.from_json_obj({"ground": [0]}), id="cover-json-no-opens"),
+])
+def test_rejected_with_cyclos_error(call):
+    with pytest.raises(CyclosError):
+        call()

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from cyclos import chaincore, ratlin
 from cyclos.chaincore import Chain1, ChainComplex
 from cyclos.errors import ClosureError, CyclosError, MalformedChainError
+from test_ratlin import reference_solve_gaussian
 
 
 def triangle_complex(filled=False):
@@ -92,7 +93,8 @@ def reference_boundary2(edges, triangles):
 
 
 def reference_project_to_cycles(chain, cx):
-    """Projection by the cycle-basis normal equations (B^T B) x = B^T c, then B x."""
+    """Projection by the cycle-basis normal equations (B^T B) x = B^T c, then
+    B x, solved by the test-local ``Fraction`` elimination."""
     basis = chaincore.cycle_space_basis(cx)
     if not basis:
         return Chain1.from_dict({})
@@ -106,7 +108,7 @@ def reference_project_to_cycles(chain, cx):
     gram = ratlin.mat_mul(bt, cols)
     rhs = [sum((x * y for x, y in zip(row, c)), Fraction(0)) for row in bt]
     out: dict[int, Fraction] = {}
-    for x, cyc in zip(ratlin.solve_gaussian(gram, rhs), basis):
+    for x, cyc in zip(reference_solve_gaussian(gram, rhs), basis):
         for e, coeff in cyc.coefficients:
             out[e] = out.get(e, Fraction(0)) + x * coeff
     return Chain1.from_dict(out)
