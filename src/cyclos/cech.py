@@ -242,7 +242,7 @@ def cosheaf_colimit(cosheaf: CosheafData, cover: Cover, tol: float = TOL):
     mismatches = []
     for i in range(len(reduced)):
         for j in range(i + 1, len(reduced)):
-            norm = max(
+            norm = 0.0 if reduced[i] == reduced[j] else max(
                 (abs(a - b) for a, b in zip(reduced[i], reduced[j])), default=0.0
             )
             if norm >= tol:

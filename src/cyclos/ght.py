@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NoPeakError, PreconditionError, TableError
+from .errors import ConfigError, NoPeakError, PreconditionError, TableError, is_finite
 from .persist import Barcode, Filtration, FiltrationStep, compute_barcode
 
 GAZE_CLOSURE_TOL = 1e-9
@@ -85,20 +85,25 @@ class AccumulatorConfig:
     def __post_init__(self):
         nx, ny = self.shape
         xmin, xmax, ymin, ymax = self.extent
+        if not all(is_finite(v) for v in self.extent):
+            raise ConfigError(f"accumulator extent must be finite, got {self.extent!r}")
         if nx < 1 or ny < 1 or xmax <= xmin or ymax <= ymin:
             raise ConfigError("invalid accumulator grid")
         if self.kernel not in ("delta", "gaussian"):
             raise ConfigError(f"unknown kernel {self.kernel!r}")
+        if not is_finite(self.bandwidth):
+            raise ConfigError(f"bandwidth must be finite, got {self.bandwidth!r}")
         if self.kernel == "gaussian" and self.bandwidth <= 0:
             raise ConfigError("gaussian kernel needs a positive bandwidth")
 
     def cell_of(self, point: tuple[float, float]) -> tuple[int, int] | None:
         xmin, xmax, ymin, ymax = self.extent
         nx, ny = self.shape
-        ix = math.floor((point[0] - xmin) / (xmax - xmin) * nx)
-        iy = math.floor((point[1] - ymin) / (ymax - ymin) * ny)
-        if 0 <= ix < nx and 0 <= iy < ny:
-            return ix, iy
+        fx = (point[0] - xmin) / (xmax - xmin) * nx
+        fy = (point[1] - ymin) / (ymax - ymin) * ny
+        # 0 <= floor(f) < n exactly when 0 <= f < n; NaN and infinities are off-grid
+        if 0 <= fx < nx and 0 <= fy < ny:
+            return math.floor(fx), math.floor(fy)
         return None
 
     def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
@@ -145,13 +150,15 @@ def accumulate(
         for f in features:
             registered = inv.apply_feature(f) if inv is not None else f
             point = table.vote_point(registered)
+            if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+                raise PreconditionError(f"feature {f} votes at the non-finite point {point}")
             cell = config.cell_of(point)
             quantized = cell if cell is not None else (-1, -1)
             votes.append((f.descriptor, quantized[0], quantized[1], point[0], point[1]))
     votes.sort()
 
     nx, ny = config.shape
-    grid = np.zeros((ny, nx))
+    rows = [[0.0] * nx for _ in range(ny)]
     overflow_count = 0
     overflow_weight = 0.0
     if config.kernel == "delta":
@@ -160,24 +167,33 @@ def accumulate(
                 overflow_count += 1
                 overflow_weight += 1.0
             else:
-                grid[iy, ix] += 1.0
+                rows[iy][ix] += 1.0
     else:
         xmin, xmax, ymin, ymax = config.extent
         cell_w = (xmax - xmin) / nx
         cell_h = (ymax - ymin) / ny
         reach_x = math.ceil(3.0 * config.bandwidth / cell_w)
         reach_y = math.ceil(3.0 * config.bandwidth / cell_h)
+        # cell centers as cell_center computes them, and the kernel's squared reach and sigma
+        centers_x = [xmin + (jx + 0.5) * (xmax - xmin) / nx for jx in range(nx)]
+        centers_y = [ymin + (jy + 0.5) * (ymax - ymin) / ny for jy in range(ny)]
+        reach_sq = (3.0 * config.bandwidth) ** 2
+        sigma_sq = config.bandwidth**2
+        exp = math.exp
         for _, ix, iy, px, py in votes:
             if ix < 0:
                 overflow_count += 1
                 overflow_weight += 1.0
                 continue
+            columns = range(max(0, ix - reach_x), min(nx, ix + reach_x + 1))
             for jy in range(max(0, iy - reach_y), min(ny, iy + reach_y + 1)):
-                for jx in range(max(0, ix - reach_x), min(nx, ix + reach_x + 1)):
-                    cx, cy = config.cell_center(jx, jy)
-                    dist_sq = (cx - px) ** 2 + (cy - py) ** 2
-                    if dist_sq <= (3.0 * config.bandwidth) ** 2:
-                        grid[jy, jx] += math.exp(-0.5 * dist_sq / config.bandwidth**2)
+                row = rows[jy]
+                dy_sq = (centers_y[jy] - py) ** 2
+                for jx in columns:
+                    dist_sq = (centers_x[jx] - px) ** 2 + dy_sq
+                    if dist_sq <= reach_sq:
+                        row[jx] += exp(-0.5 * dist_sq / sigma_sq)
+    grid = np.array(rows, dtype=float)
     return Accumulator(config, grid, overflow_count, overflow_weight)
 
 

@@ -17,9 +17,10 @@ Two evaluation modes share one kernel family:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,6 +62,8 @@ class Trajectory2D:
     samples: tuple[tuple[float, tuple[float, float]], ...]
 
     def __post_init__(self):
+        if not self.samples:
+            raise CyclosError("a trajectory needs at least one sample")
         times = [t for t, _ in self.samples]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise CyclosError("trajectory times must be strictly increasing")
@@ -98,31 +101,45 @@ def grid_phase(cell: GridCell, x: tuple[float, float]) -> float:
     return 0.0 if wrapped >= TWO_PI else wrapped
 
 
-def kernel_value(cfg: PlaceCellConfig, phase_distance: float) -> float:
-    d = abs(phase_distance)
-    if cfg.kernel == "boxcar":
-        return 1.0 if d <= cfg.delta else 0.0
-    kappa = math.log(2.0) / (1.0 - math.cos(cfg.delta))  # half max at d = delta
+def _von_mises_kappa(delta: float) -> float:
+    """Concentration that puts the von Mises kernel's half maximum at d = delta."""
+    return math.log(2.0) / (1.0 - math.cos(delta))
+
+
+def _von_mises(kappa: float, d: float) -> float:
     return math.exp(kappa * (math.cos(d) - 1.0))
 
 
-def _input_at(cfg: PlaceCellConfig, cells: Sequence[GridCell], osc: Oscillator,
-              t: float, x: tuple[float, float]) -> float:
+def _distance_kernel(cfg: PlaceCellConfig) -> Callable[[float], float]:
+    """The kernel as a function of a non-negative phase distance, kappa computed once."""
+    if cfg.kernel == "boxcar":
+        delta = cfg.delta
+        return lambda d: 1.0 if d <= delta else 0.0
+    return functools.partial(_von_mises, _von_mises_kappa(cfg.delta))
+
+
+def kernel_value(cfg: PlaceCellConfig, phase_distance: float) -> float:
+    return _distance_kernel(cfg)(abs(phase_distance))
+
+
+def _input_at(cfg: PlaceCellConfig, kernel: Callable[[float], float],
+              cells: Sequence[GridCell], osc: Oscillator, t: float,
+              x: tuple[float, float]) -> float:
     theta = wrap_time(t, osc)
     total = 0.0
     for w, cell in zip(cfg.weights, cells):
-        total += w * kernel_value(cfg, circular_distance(theta, grid_phase(cell, x)))
+        total += w * kernel(circular_distance(theta, grid_phase(cell, x)))
     return total
 
 
-def _segment_integral(cfg, cells, osc, traj, t0, t1) -> float:
+def _segment_integral(cfg, kernel, cells, osc, traj, t0, t1) -> float:
     steps = max(1, math.ceil((t1 - t0) / (osc.period / 256.0)))
     h = (t1 - t0) / steps
     total = 0.0
-    prev = _input_at(cfg, cells, osc, t0, traj.position(t0))
+    prev = _input_at(cfg, kernel, cells, osc, t0, traj.position(t0))
     for i in range(1, steps + 1):
         t = t0 + i * h
-        current = _input_at(cfg, cells, osc, t, traj.position(t))
+        current = _input_at(cfg, kernel, cells, osc, t, traj.position(t))
         total += 0.5 * (prev + current) * h
         prev = current
     return total
@@ -143,7 +160,7 @@ def coincidence_functional(
         raise CyclosError(
             f"trajectory must cover [{t0}, {t1}], spans [{traj.t_start}, {traj.t_end}]"
         )
-    return _segment_integral(cfg, cells, osc, traj, t0, t1) / osc.period
+    return _segment_integral(cfg, _distance_kernel(cfg), cells, osc, traj, t0, t1) / osc.period
 
 
 def tour_coincidence_total(
@@ -159,10 +176,11 @@ def tour_coincidence_total(
     """
     if len(cfg.weights) != len(cells):
         raise ConfigError("one weight per grid cell required")
+    kernel = _distance_kernel(cfg)
     total = 0.0
     times = [t for t, _ in tour.samples]
     for a, b in zip(times, times[1:]):
-        total += _segment_integral(cfg, cells, osc, tour, a, b)
+        total += _segment_integral(cfg, kernel, cells, osc, tour, a, b)
     return total
 
 
@@ -171,21 +189,40 @@ def _gate_overlap_boxcar(delta: float, phase_dist: float) -> float:
     return max(0.0, 2.0 * delta - phase_dist) / TWO_PI
 
 
-def _gated_value(cfg: PlaceCellConfig, cells, x) -> float:
-    value = 0.0
-    for w, cell in zip(cfg.weights, cells):
-        d = circular_distance(grid_phase(cell, x), GATE_CENTER)
-        if cfg.kernel == "boxcar":
-            value += w * _gate_overlap_boxcar(cfg.delta, d)
-        else:
-            steps = 512
+GATE_STEPS = 512  # theta samples per period in the von Mises gate integral
+
+
+def _gated_values(cfg: PlaceCellConfig, cells: Sequence[GridCell],
+                  positions: Sequence[tuple[float, float]]) -> list[float]:
+    """Theta-gated value at each position.
+
+    The von Mises gate integral sums, in theta order, the kernel at the
+    gate's samples only (the others add nothing), so the sample list and
+    kappa are built once for all positions.
+    """
+    weights = cfg.weights
+    values = []
+    if cfg.kernel == "boxcar":
+        for x in positions:
+            value = 0.0
+            for w, cell in zip(weights, cells):
+                d = circular_distance(grid_phase(cell, x), GATE_CENTER)
+                value += w * _gate_overlap_boxcar(cfg.delta, d)
+            values.append(value)
+        return values
+    gated = [theta for theta in (TWO_PI * i / GATE_STEPS for i in range(GATE_STEPS))
+             if circular_distance(theta, GATE_CENTER) <= cfg.delta]
+    kernel = _distance_kernel(cfg)
+    for x in positions:
+        value = 0.0
+        for w, cell in zip(weights, cells):
+            phase = grid_phase(cell, x)
             acc = 0.0
-            for i in range(steps):
-                theta = TWO_PI * i / steps
-                if circular_distance(theta, GATE_CENTER) <= cfg.delta:
-                    acc += kernel_value(cfg, circular_distance(theta, grid_phase(cell, x)))
-            value += w * acc / steps
-    return value
+            for theta in gated:
+                acc += kernel(circular_distance(theta, phase))
+            value += w * acc / GATE_STEPS
+        values.append(value)
+    return values
 
 
 @dataclass(frozen=True)
@@ -227,12 +264,10 @@ def place_field_map(
     if len(cfg.weights) != len(cells):
         raise ConfigError("one weight per grid cell required")
     xmin, xmax, ymin, ymax = region
-    values = np.zeros((ny, nx))
-    for iy in range(ny):
-        y = ymin + (iy + 0.5) * (ymax - ymin) / ny
-        for ix in range(nx):
-            x = xmin + (ix + 0.5) * (xmax - xmin) / nx
-            values[iy, ix] = _gated_value(cfg, cells, (x, y))
+    xs = [xmin + (ix + 0.5) * (xmax - xmin) / nx for ix in range(nx)]
+    ys = [ymin + (iy + 0.5) * (ymax - ymin) / ny for iy in range(ny)]
+    flat = _gated_values(cfg, cells, [(x, y) for y in ys for x in xs])
+    values = np.array(flat, dtype=float).reshape(ny, nx)
     return PlaceFieldMap(values, values >= cfg.threshold, region, (nx, ny))
 
 

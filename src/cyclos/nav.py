@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import ClosureError, CompositionError, CyclosError, FeasibilityError, SamplingError
+from .errors import (
+    ClosureError, CompositionError, CyclosError, FeasibilityError, SamplingError, is_finite,
+)
 
 Point = tuple[float, float]
 DEFAULT_ENDPOINT_TOL = 1e-6
@@ -24,8 +26,10 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise CyclosError("obstacle radius must be positive")
+        if not all(is_finite(c) for c in self.center):
+            raise CyclosError(f"obstacle center must be finite, got {self.center!r}")
+        if not (is_finite(self.radius) and self.radius > 0):
+            raise CyclosError(f"obstacle radius must be finite and positive, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +106,42 @@ def _segment_clears_disk(p: Point, q: Point, disk: Disk) -> bool:
 
 
 def check_feasible(path: Sequence[Point], ws: Workspace) -> None:
+    """Raise on the first (segment, obstacle) pair, in path then obstacle order,
+    where the segment enters the obstacle.
+
+    A disk whose center lies farther than radius + margin from the segment's
+    bounding box along some axis is cleared without the exact test, and so
+    is every disk at once when the segment's box misses the box around all
+    of them. The margin, 1e-9 * (1 + largest |coordinate|), dwarfs the
+    rounding of both tests, so every skipped pair is one the exact test
+    passes.
+    """
+    if not ws.obstacles:
+        return
+    coords = [c for point in path for c in point]
+    if all(map(math.isfinite, coords)):  # disks are finite by construction
+        scale = max(map(abs, coords), default=0.0)
+        for disk in ws.obstacles:
+            scale = max(scale, abs(disk.center[0]), abs(disk.center[1]), disk.radius)
+        margin = 1e-9 * (1.0 + scale)
+    else:
+        margin = math.inf  # unbounded boxes: NaN or infinite points get the exact test
+    boxes = []
+    for disk in ws.obstacles:
+        (cx, cy), reach = disk.center, disk.radius + margin
+        boxes.append((cx - reach, cx + reach, cy - reach, cy + reach))
+    lo_xs, hi_xs, lo_ys, hi_ys = zip(*boxes)
+    all_lo_x, all_hi_x, all_lo_y, all_hi_y = min(lo_xs), max(hi_xs), min(lo_ys), max(hi_ys)
     for p, q in zip(path, path[1:]):
-        for idx, disk in enumerate(ws.obstacles):
+        (px, py), (qx, qy) = p, q
+        lo_x, hi_x = (px, qx) if px <= qx else (qx, px)
+        lo_y, hi_y = (py, qy) if py <= qy else (qy, py)
+        if hi_x < all_lo_x or lo_x > all_hi_x or hi_y < all_lo_y or lo_y > all_hi_y:
+            continue
+        for idx, (d_lo_x, d_hi_x, d_lo_y, d_hi_y) in enumerate(boxes):
+            if hi_x < d_lo_x or lo_x > d_hi_x or hi_y < d_lo_y or lo_y > d_hi_y:
+                continue
+            disk = ws.obstacles[idx]
             if not _segment_clears_disk(p, q, disk):
                 raise FeasibilityError(
                     f"segment {p} -> {q} crosses obstacle {idx} at {disk.center}"

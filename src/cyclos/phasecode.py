@@ -97,6 +97,8 @@ def winding_number(
     total = 0.0
     for a, b in zip(phases, phases[1:]):
         total += signed_gap(a, b)
+    if not math.isfinite(total):  # a NaN or infinite phase gives NaN gaps
+        raise CyclosError("phase samples must be finite")
     return round(total / TWO_PI)
 
 

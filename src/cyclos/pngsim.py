@@ -7,7 +7,19 @@ period. The event queue is totally ordered by (time, neuron, synapse), so a
 run is a pure function of (network, stimuli); the `seed` argument only tags
 the log. STDP uses nearest-neighbor pairing on spike times (presynaptic
 soma time, not arrival time): a synapse whose pre spike causally drives its
-post therefore sees post - pre = conduction delay > 0 and potentiates.
+post therefore sees post - pre = conduction delay > 0 and potentiates. The
+rule lives inside `simulate`'s event loop: a pairing with post - pre = dt
+adds `a_plus * exp(-dt / tau_plus)` when dt > 0, `-a_minus * exp(dt /
+tau_minus)` when dt < 0 and nothing at coincidence, and the weight is then
+clamped to [0, w_max] (Izhikevich, "Polychronization: computation with
+spikes", Neural Comput. 2006).
+
+Buffer-order invariant: stimulus times, delays and the horizon are checked
+finite (a NaN would break the total order), and events pop in nondecreasing
+time, because each arrival lands a positive delay after the spike that sends
+it. Each neuron's window buffer is therefore sorted by arrival time, so
+expiring it from the left drops exactly the arrivals older than `delta`, and
+its weights are summed oldest first.
 """
 
 from __future__ import annotations
@@ -15,10 +27,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .errors import ConfigError, is_finite
+from .errors import ConfigError, is_finite, is_int, malformed
 
 DEFAULT_MAX_CYCLE_LEN = 8
 
@@ -44,6 +57,10 @@ class DelayNetwork:
     def __post_init__(self):
         if self.neuron_count < 0 or self.k < 1 or not self.delta > 0 or not self.refractory >= 0:
             raise ConfigError("invalid network parameters")  # the negated tests reject NaN
+        # an infinite refractory period makes -inf + inf = NaN for a neuron that never fired
+        if not (is_finite(self.threshold) and is_finite(self.refractory)):
+            raise ConfigError(f"firing threshold and refractory period must be finite, got "
+                              f"{self.threshold!r} and {self.refractory!r}")
         for idx, syn in enumerate(self.synapses):
             if not (0 <= syn.pre < self.neuron_count and 0 <= syn.post < self.neuron_count):
                 raise ConfigError(f"synapse {idx} references unknown neuron")
@@ -69,16 +86,17 @@ class DelayNetwork:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "DelayNetwork":
-        return cls(
-            neuron_count=int(obj["neurons"]),
-            synapses=tuple(Synapse(int(p), int(q), float(w), float(d))
-                           for p, q, w, d in obj["synapses"]),
-            delta=float(obj["delta_ms"]),
-            k=int(obj.get("k", 1)),
-            refractory=float(obj.get("refractory_ms", 1.0)),
-            threshold=float(obj.get("threshold", 0.5)),
-            w_max=float(obj.get("w_max", 1.0)),
-        )
+        with malformed("delay network JSON"):
+            return cls(
+                neuron_count=int(obj["neurons"]),
+                synapses=tuple(Synapse(int(p), int(q), float(w), float(d))
+                               for p, q, w, d in obj["synapses"]),
+                delta=float(obj["delta_ms"]),
+                k=int(obj.get("k", 1)),
+                refractory=float(obj.get("refractory_ms", 1.0)),
+                threshold=float(obj.get("threshold", 0.5)),
+                w_max=float(obj.get("w_max", 1.0)),
+            )
 
 
 @dataclass(frozen=True)
@@ -90,8 +108,12 @@ class STDPParams:
     w_max: float = 1.0
 
     def __post_init__(self):
-        if self.a_plus < 0 or self.a_minus < 0 or self.tau_plus <= 0 or self.tau_minus <= 0:
-            raise ConfigError("invalid STDP parameters")
+        values = (self.a_plus, self.a_minus, self.tau_plus, self.tau_minus, self.w_max)
+        if not all(map(is_finite, values)):
+            raise ConfigError(f"STDP parameters must be finite, got {values!r}")
+        if (self.a_plus < 0 or self.a_minus < 0 or self.tau_plus <= 0 or self.tau_minus <= 0
+                or self.w_max <= 0):
+            raise ConfigError(f"invalid STDP parameters {values!r}")
 
 
 @dataclass(frozen=True)
@@ -121,16 +143,6 @@ class CycleCandidate:
         return self.vertices[0]
 
 
-def stdp_delta(pre_t: float, post_t: float, p: STDPParams) -> float:
-    """Signed weight change for one pre/post pairing; zero at coincidence."""
-    dt = post_t - pre_t
-    if dt > 0:
-        return p.a_plus * math.exp(-dt / p.tau_plus)
-    if dt < 0:
-        return -p.a_minus * math.exp(dt / p.tau_minus)
-    return 0.0
-
-
 _STIMULUS = -1  # synapse slot ordering stimuli before arrivals
 
 
@@ -141,70 +153,108 @@ def simulate(
     stdp: STDPParams | None = None,
     seed: int = 0,
 ) -> EventLog:
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
+    if not (is_finite(horizon) and horizon > 0):
+        raise ConfigError(f"horizon must be finite and positive, got {horizon!r}")
+    count = net.neuron_count
     weights = [s.weight for s in net.synapses]
-    outgoing: dict[int, list[int]] = {}
+    delays = [s.delay for s in net.synapses]
+    posts = [s.post for s in net.synapses]
+    outgoing: list[list[int]] = [[] for _ in range(count)]
+    incoming: list[list[int]] = [[] for _ in range(count)]
     for idx, syn in enumerate(net.synapses):
-        outgoing.setdefault(syn.pre, []).append(idx)
-    incoming: dict[int, list[int]] = {}
-    for idx, syn in enumerate(net.synapses):
-        incoming.setdefault(syn.post, []).append(idx)
+        outgoing[syn.pre].append(idx)
+        incoming[syn.post].append(idx)
 
-    buffers: dict[int, list[tuple[float, float]]] = {n: [] for n in range(net.neuron_count)}
-    last_spike = [-math.inf] * net.neuron_count
+    # each neuron's window since its last spike: arrival times and the weights
+    # they brought, oldest first (see the module docstring)
+    window_times = [deque() for _ in range(count)]
+    window_weights = [deque() for _ in range(count)]
+    last_spike = [-math.inf] * count
     last_arrival = [-math.inf] * len(net.synapses)
     records: list[tuple[float, int, str]] = []
+    delta, k, threshold, refractory = net.delta, net.k, net.threshold, net.refractory
+
+    if stdp is not None:
+        a_plus, a_minus = stdp.a_plus, stdp.a_minus
+        tau_plus, tau_minus, w_max = stdp.tau_plus, stdp.tau_minus, stdp.w_max
+    exp, heappush, heappop, never = math.exp, heapq.heappush, heapq.heappop, -math.inf
 
     heap: list[tuple[float, int, int, int]] = []
     seq = 0
     for neuron, t in sorted(stimuli, key=lambda s: (s[1], s[0])):
-        if not (0 <= neuron < net.neuron_count):
-            raise ConfigError(f"stimulus targets unknown neuron {neuron}")
-        heapq.heappush(heap, (float(t), neuron, _STIMULUS, seq))
+        if not (is_int(neuron) and 0 <= neuron < count):
+            raise ConfigError(f"stimulus targets unknown neuron {neuron!r}")
+        if not is_finite(t):
+            raise ConfigError(f"stimulus time must be finite, got {t!r}")
+        heappush(heap, (float(t), neuron, _STIMULUS, seq))
         seq += 1
 
-    def fire(neuron: int, t: float, kind: str):
-        nonlocal seq
-        records.append((t, neuron, kind))
-        last_spike[neuron] = t
-        buffers[neuron] = []
-        if stdp is not None:
-            for syn_idx in incoming.get(neuron, ()):
-                arrival = last_arrival[syn_idx]
-                if arrival > -math.inf:
-                    pre_spike = arrival - net.synapses[syn_idx].delay
-                    w = weights[syn_idx] + stdp_delta(pre_spike, t, stdp)
-                    weights[syn_idx] = min(max(w, 0.0), stdp.w_max)
-        for syn_idx in outgoing.get(neuron, ()):
-            arrival_t = t + net.synapses[syn_idx].delay
-            if arrival_t <= horizon:
-                heapq.heappush(heap, (arrival_t, net.synapses[syn_idx].post, syn_idx, seq))
-                seq += 1
-
     while heap:
-        t, neuron, syn_idx, _ = heapq.heappop(heap)
+        t, neuron, syn_idx, _ = heappop(heap)
         if t > horizon:
             break
         if syn_idx == _STIMULUS:
-            if t >= last_spike[neuron] + net.refractory:
-                fire(neuron, t, "stim")
-            continue
-        # synaptic arrival
-        last_arrival[syn_idx] = t
-        if stdp is not None and last_spike[neuron] > -math.inf:
-            pre_spike = t - net.synapses[syn_idx].delay
-            w = weights[syn_idx] + stdp_delta(pre_spike, last_spike[neuron], stdp)
-            weights[syn_idx] = min(max(w, 0.0), stdp.w_max)
-        window = [(at, w) for at, w in buffers[neuron] if at >= t - net.delta]
-        window.append((t, weights[syn_idx]))
-        buffers[neuron] = window
-        if (
-            len(window) >= net.k
-            and sum(w for _, w in window) >= net.threshold
-            and t >= last_spike[neuron] + net.refractory
-        ):
-            fire(neuron, t, "spike")
+            if not t >= last_spike[neuron] + refractory:
+                continue
+            kind = "stim"
+        else:
+            # synaptic arrival: pair it with the post neuron's last spike
+            last_arrival[syn_idx] = t
+            if stdp is not None and last_spike[neuron] > never:
+                dt = last_spike[neuron] - (t - delays[syn_idx])
+                w = weights[syn_idx]
+                if dt > 0:
+                    w = w + a_plus * exp(-dt / tau_plus)
+                elif dt < 0:
+                    w = w + -a_minus * exp(dt / tau_minus)
+                else:
+                    w = w + 0.0  # no change at coincidence, but a -0.0 weight becomes 0.0
+                if w < 0.0:
+                    w = 0.0
+                if w > w_max:
+                    w = w_max
+                weights[syn_idx] = w
+            times, window = window_times[neuron], window_weights[neuron]
+            cutoff = t - delta
+            while times and times[0] < cutoff:
+                times.popleft()
+                window.popleft()
+            times.append(t)
+            window.append(weights[syn_idx])
+            if not (
+                len(window) >= k
+                and sum(window) >= threshold
+                and t >= last_spike[neuron] + refractory
+            ):
+                continue
+            kind = "spike"
+        # fire: pair every incoming synapse's last arrival with this spike
+        records.append((t, neuron, kind))
+        last_spike[neuron] = t
+        window_times[neuron].clear()
+        window_weights[neuron].clear()
+        if stdp is not None:
+            for syn_in in incoming[neuron]:
+                arrival = last_arrival[syn_in]
+                if arrival > never:
+                    dt = t - (arrival - delays[syn_in])
+                    w = weights[syn_in]
+                    if dt > 0:
+                        w = w + a_plus * exp(-dt / tau_plus)
+                    elif dt < 0:
+                        w = w + -a_minus * exp(dt / tau_minus)
+                    else:
+                        w = w + 0.0
+                    if w < 0.0:
+                        w = 0.0
+                    if w > w_max:
+                        w = w_max
+                    weights[syn_in] = w
+        for syn_out in outgoing[neuron]:
+            arrival_t = t + delays[syn_out]
+            if arrival_t <= horizon:
+                heappush(heap, (arrival_t, posts[syn_out], syn_out, seq))
+                seq += 1
 
     records.sort(key=lambda r: (r[0], r[1]))
     return EventLog(tuple(records), tuple(weights), horizon, seed)
@@ -227,6 +277,8 @@ def find_resonant_cycles(
     """
     if not (is_finite(t_theta) and t_theta > 0):
         raise ConfigError(f"t_theta must be finite and > 0, got {t_theta!r}")
+    if not (is_finite(delta) and is_finite(tau_gain)):
+        raise ConfigError(f"delta and tau_gain must be finite, got {delta!r} and {tau_gain!r}")
     if max_len < 2:
         raise ConfigError("max_len must be at least 2")
     if max_len > safety_cap:

@@ -3,9 +3,10 @@
 Matrices are lists of rows of :class:`~fractions.Fraction`. Everything here
 is deterministic: pivots are always chosen at the lowest row/column index, so
 reduced forms (and hence canonical representatives) are reproducible.
-:func:`rref` eliminates in integers and builds ``Fraction``s only for its
-result; the RREF of a rational matrix is unique, so it is the same matrix a
-``Fraction`` elimination gives.
+:func:`rref` and :func:`reduce_mod_rows` work in integers and build
+``Fraction``s once, for their results; the RREF of a rational matrix and the
+reduction of a vector modulo it are unique, so they are what ``Fraction``
+arithmetic gives.
 """
 
 from __future__ import annotations
@@ -101,11 +102,31 @@ def reduce_mod_rows(v: Sequence, rows: Sequence[Sequence], pivots: Sequence[int]
     """Canonical representative of ``v`` modulo the span of RREF ``rows``.
 
     Subtracting each pivot row zeroes the corresponding coordinate, which makes
-    two vectors congruent mod the span iff their reductions are equal.
+    two vectors congruent mod the span iff their reductions are equal. An RREF
+    row is zero on every other pivot column, so the coefficients are ``v``'s
+    own pivot coordinates, and ``v`` is returned as ``Fraction``s when they are
+    all zero.
+
+    Otherwise ``v`` is held as integer numerators over one common denominator.
+    Subtracting ``c / den`` times a row whose denominators have lcm ``d``
+    scales the numerators by ``d``, subtracts ``c`` times the integer row and
+    multiplies the denominator by ``d``; the gcd of the denominator and the
+    numerators is then divided out. The ``Fraction``s are built once, at the
+    end.
     """
     out = [Fraction(x) for x in v]
+    if not any(out[pc] for pc in pivots):
+        return out
+    den = math.lcm(*(x.denominator for x in out))
+    num = [x.numerator * (den // x.denominator) for x in out]
     for row, pc in zip(rows, pivots):
-        coeff = out[pc]
-        if coeff != 0:
-            out = [x - coeff * y for x, y in zip(out, row)]
-    return out
+        c = num[pc]
+        if c:
+            d = math.lcm(*(y.denominator for y in row))
+            num = [d * x - c * (y.numerator * (d // y.denominator)) for x, y in zip(num, row)]
+            den *= d
+            g = math.gcd(den, *num)
+            if g > 1:
+                num = [x // g for x in num]
+                den //= g
+    return [Fraction(x, den) for x in num]

@@ -91,6 +91,112 @@ class TestAccumulate:
         assert acc.grid.sum() == 0.0
 
 
+def reference_cell_of(config, point):
+    xmin, xmax, ymin, ymax = config.extent
+    nx, ny = config.shape
+    ix = math.floor((point[0] - xmin) / (xmax - xmin) * nx)
+    iy = math.floor((point[1] - ymin) / (ymax - ymin) * ny)
+    if 0 <= ix < nx and 0 <= iy < ny:
+        return ix, iy
+    return None
+
+
+def reference_accumulate(glimpses, table, config, re_register=True):
+    """Votes splatted into a numpy grid one cell at a time, every cell center,
+    reach and sigma recomputed per cell."""
+    votes = []
+    for gaze, features in glimpses:
+        inv = gaze.inverse() if re_register else None
+        for f in features:
+            registered = inv.apply_feature(f) if inv is not None else f
+            point = table.vote_point(registered)
+            cell = reference_cell_of(config, point)
+            quantized = cell if cell is not None else (-1, -1)
+            votes.append((f.descriptor, quantized[0], quantized[1], point[0], point[1]))
+    votes.sort()
+
+    nx, ny = config.shape
+    grid = np.zeros((ny, nx))
+    overflow_count = 0
+    overflow_weight = 0.0
+    if config.kernel == "delta":
+        for _, ix, iy, _, _ in votes:
+            if ix < 0:
+                overflow_count += 1
+                overflow_weight += 1.0
+            else:
+                grid[iy, ix] += 1.0
+    else:
+        xmin, xmax, ymin, ymax = config.extent
+        cell_w = (xmax - xmin) / nx
+        cell_h = (ymax - ymin) / ny
+        reach_x = math.ceil(3.0 * config.bandwidth / cell_w)
+        reach_y = math.ceil(3.0 * config.bandwidth / cell_h)
+        for _, ix, iy, px, py in votes:
+            if ix < 0:
+                overflow_count += 1
+                overflow_weight += 1.0
+                continue
+            for jy in range(max(0, iy - reach_y), min(ny, iy + reach_y + 1)):
+                for jx in range(max(0, ix - reach_x), min(nx, ix + reach_x + 1)):
+                    cx, cy = config.cell_center(jx, jy)
+                    dist_sq = (cx - px) ** 2 + (cy - py) ** 2
+                    if dist_sq <= (3.0 * config.bandwidth) ** 2:
+                        grid[jy, jx] += math.exp(-0.5 * dist_sq / config.bandwidth**2)
+    return Accumulator(config, grid, overflow_count, overflow_weight)
+
+
+@st.composite
+def vote_inputs(draw):
+    """Glimpses over a small grid, with votes past the extent (off-grid).
+
+    In lattice mode the origin is an integer, cells are dyadic, sigma is a
+    multiple of half a cell and votes land on cell corners and centers, so
+    cell boundaries and cell centers exactly 3 sigma from a vote occur.
+    """
+    nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    kernel = draw(st.sampled_from(["delta", "gaussian"]))
+    lattice = draw(st.booleans())
+    if lattice:
+        xmin, ymin = float(draw(st.integers(-50, 50))), float(draw(st.integers(-50, 50)))
+        cell = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        width, height = cell * nx, cell * ny
+        bandwidth = draw(st.integers(1, 6)) * cell / 2
+        offsets = {0: (0.0, 0.0)}
+        position = st.tuples(
+            st.integers(-4, 2 * nx + 4).map(lambda k: xmin + k * cell / 2),
+            st.integers(-4, 2 * ny + 4).map(lambda k: ymin + k * cell / 2))
+        feature = st.builds(Feature, position, st.just(0.0), st.just(0))
+        gaze = st.just(GazeTransform())
+    else:
+        xmin, ymin = draw(st.floats(-50, 50)), draw(st.floats(-50, 50))
+        width, height = draw(st.floats(0.5, 60)), draw(st.floats(0.5, 60))
+        bandwidth = draw(st.floats(0.05, 15))
+        offsets = {d: (draw(st.floats(-20, 20)), draw(st.floats(-20, 20))) for d in range(3)}
+        position = st.tuples(st.floats(xmin - 30, xmin + width + 30),
+                             st.floats(ymin - 30, ymin + height + 30))
+        feature = st.builds(Feature, position, st.floats(-4, 4), st.integers(0, 2))
+        gaze = st.builds(GazeTransform, st.floats(-1, 1),
+                         st.tuples(st.floats(-10, 10), st.floats(-10, 10)))
+    config = AccumulatorConfig((xmin, xmin + width, ymin, ymin + height), (nx, ny),
+                               kernel, bandwidth)
+    glimpses = draw(st.lists(st.tuples(gaze, st.lists(feature, max_size=6)), max_size=4))
+    return glimpses, ModelTable(offsets), config, draw(st.booleans())
+
+
+class TestAccumulateOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(vote_inputs())
+    def test_matches_reference_bytes(self, case):
+        glimpses, table, config, re_register = case
+        got = accumulate(glimpses, table, config, re_register)
+        want = reference_accumulate(glimpses, table, config, re_register)
+        assert got.grid.shape == want.grid.shape and got.grid.dtype == want.grid.dtype
+        assert got.serialize_grid() == want.serialize_grid()
+        assert (got.overflow_count, got.overflow_weight) == (want.overflow_count,
+                                                             want.overflow_weight)
+
+
 class TestArgmaxPeak:
     def test_tie_takes_lowest_linear_index_and_flags(self):
         grid = np.zeros((4, 4))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclos import gridplace
 from cyclos.errors import ClosureError, ConfigError, CyclosError
@@ -18,7 +19,7 @@ from cyclos.gridplace import (
     tour_invariance,
     tour_phase_windings,
 )
-from cyclos.phasecode import Oscillator
+from cyclos.phasecode import Oscillator, circular_distance, wrap_time
 
 TWO_PI = 2 * math.pi
 OSC = Oscillator(8.0)
@@ -105,7 +106,7 @@ class TestPlaceFieldMap:
         # unique alignment point in the region interior is (1, 1)
         assert abs(cx - 1.0) <= cell_w and abs(cy - 1.0) <= cell_w
         # at the exact alignment point the value is (sum of weights) * delta/pi
-        exact = gridplace._gated_value(cfg, cells, (1.0, 1.0))
+        exact = gridplace._gated_values(cfg, cells, [(1.0, 1.0)])[0]
         assert exact == pytest.approx(2.0 * delta / math.pi, abs=1e-12)
         assert field.values[iy, ix] <= exact
 
@@ -148,7 +149,7 @@ class TestPlaceFieldMap:
         for _ in range(trials):
             offs = rng.uniform(math.pi / 2, 3 * math.pi / 2, size=2)
             cells = [GridCell((TWO_PI, 0.0), offs[0]), GridCell((0.0, TWO_PI), offs[1])]
-            value = gridplace._gated_value(cfg, cells, (0.0, 0.0))
+            value = gridplace._gated_values(cfg, cells, [(0.0, 0.0)])[0]
             if value < cfg.threshold:
                 below += 1
         assert below == trials
@@ -194,3 +195,109 @@ class TestTourInvariance:
         open_path = Trajectory2D(((0.0, (0.0, 0.0)), (OSC.period, (1.0, 0.0))))
         with pytest.raises(ClosureError):
             tour_invariance(self.CFG, self.CELLS, OSC, open_path, square_tour())
+
+
+def reference_kernel_value(cfg, phase_distance):
+    d = abs(phase_distance)
+    if cfg.kernel == "boxcar":
+        return 1.0 if d <= cfg.delta else 0.0
+    kappa = math.log(2.0) / (1.0 - math.cos(cfg.delta))  # half max at d = delta
+    return math.exp(kappa * (math.cos(d) - 1.0))
+
+
+def reference_gated_value(cfg, cells, x):
+    """All 512 theta samples tested against the gate at every position, grid
+    phases and kappa recomputed per sample."""
+    value = 0.0
+    for w, cell in zip(cfg.weights, cells):
+        d = circular_distance(grid_phase(cell, x), gridplace.GATE_CENTER)
+        if cfg.kernel == "boxcar":
+            value += w * gridplace._gate_overlap_boxcar(cfg.delta, d)
+        else:
+            steps = 512
+            acc = 0.0
+            for i in range(steps):
+                theta = TWO_PI * i / steps
+                if circular_distance(theta, gridplace.GATE_CENTER) <= cfg.delta:
+                    acc += reference_kernel_value(
+                        cfg, circular_distance(theta, grid_phase(cell, x)))
+            value += w * acc / steps
+    return value
+
+
+def reference_place_field_map(cfg, cells, region, resolution):
+    nx, ny = resolution
+    xmin, xmax, ymin, ymax = region
+    values = np.zeros((ny, nx))
+    for iy in range(ny):
+        y = ymin + (iy + 0.5) * (ymax - ymin) / ny
+        for ix in range(nx):
+            x = xmin + (ix + 0.5) * (xmax - xmin) / nx
+            values[iy, ix] = reference_gated_value(cfg, cells, (x, y))
+    return values
+
+
+def reference_tour_total(cfg, cells, tour, osc):
+    def input_at(t, x):
+        theta = wrap_time(t, osc)
+        total = 0.0
+        for w, cell in zip(cfg.weights, cells):
+            total += w * reference_kernel_value(
+                cfg, circular_distance(theta, grid_phase(cell, x)))
+        return total
+
+    total = 0.0
+    times = [t for t, _ in tour.samples]
+    for t0, t1 in zip(times, times[1:]):
+        steps = max(1, math.ceil((t1 - t0) / (osc.period / 256.0)))
+        h = (t1 - t0) / steps
+        segment = 0.0
+        prev = input_at(t0, tour.position(t0))
+        for i in range(1, steps + 1):
+            t = t0 + i * h
+            current = input_at(t, tour.position(t))
+            segment += 0.5 * (prev + current) * h
+            prev = current
+        total += segment
+    return total
+
+
+@st.composite
+def field_inputs(draw):
+    count = draw(st.integers(0, 3))
+    cells = [GridCell((draw(st.floats(-8, 8).filter(lambda k: abs(k) > 0.1)),
+                       draw(st.floats(-8, 8))), draw(st.floats(0, TWO_PI)))
+             for _ in range(count)]
+    weights = tuple(draw(st.floats(0, 2)) for _ in range(count))
+    kernel = draw(st.sampled_from(["boxcar", "von_mises"]))
+    delta = draw(st.sampled_from([math.pi / 8, math.pi / 4]) | st.floats(0.01, math.pi / 4))
+    cfg = PlaceCellConfig(weights, threshold=0.1, kernel=kernel, delta=delta)
+    xmin, ymin = draw(st.floats(-3, 3)), draw(st.floats(-3, 3))
+    region = (xmin, xmin + draw(st.floats(0.1, 4)), ymin, ymin + draw(st.floats(0.1, 4)))
+    return cfg, cells, region, (draw(st.integers(8, 10)), draw(st.integers(8, 10)))
+
+
+class TestHoistedKernelsOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(field_inputs())
+    def test_place_field_map_matches_reference_bytes(self, case):
+        cfg, cells, region, resolution = case
+        field = place_field_map(cfg, cells, OSC, region, resolution)
+        want = reference_place_field_map(cfg, cells, region, resolution)
+        assert field.values.shape == want.shape and field.values.dtype == want.dtype
+        assert field.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kernel", ["boxcar", "von_mises"])
+    def test_tour_total_matches_reference(self, kernel):
+        cfg = PlaceCellConfig((1.0, 0.5), threshold=0.1, kernel=kernel, delta=math.pi / 6)
+        cells = TestTourInvariance.CELLS
+        tour = square_tour(side=0.7, period_per_edge=2, start=(0.1, -0.3))
+        assert tour_coincidence_total(cfg, cells, tour, OSC) == reference_tour_total(
+            cfg, cells, tour, OSC)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["boxcar", "von_mises"]), st.floats(0.01, math.pi / 4),
+           st.floats(-10, 10))
+    def test_kernel_value_matches_reference(self, kernel, delta, distance):
+        cfg = PlaceCellConfig((), threshold=0.1, kernel=kernel, delta=delta)
+        assert gridplace.kernel_value(cfg, distance) == reference_kernel_value(cfg, distance)

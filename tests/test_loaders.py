@@ -9,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 from cyclos.chaincore import Chain1, ChainComplex
 from cyclos.coincide import SpikeTrain
 from cyclos.errors import CyclosError
+from cyclos.ght import AccumulatorConfig, Feature, GazeTransform, ModelTable, accumulate
+from cyclos.gridplace import Trajectory2D
+from cyclos.nav import Disk
 from cyclos.persist import Bar, Barcode, Filtration
-from cyclos.phasecode import Oscillator
-from cyclos.pngsim import DelayNetwork, Synapse, find_resonant_cycles
+from cyclos.phasecode import Oscillator, winding_number
+from cyclos.pngsim import DelayNetwork, STDPParams, Synapse, find_resonant_cycles, simulate
 
 LOADERS = (
     Chain1.from_json_obj,
@@ -19,8 +22,10 @@ LOADERS = (
     Filtration.from_json_obj,
     Barcode.from_json_obj,
     SpikeTrain.from_json_obj,
+    DelayNetwork.from_json_obj,
 )
-KEYS = ("vertices", "edges", "triangles", "steps", "bars", "neurons", "spikes", "0", "1")
+KEYS = ("vertices", "edges", "triangles", "steps", "bars", "neurons", "spikes", "synapses",
+        "delta_ms", "0", "1")
 SCALARS = (
     st.none()
     | st.booleans()
@@ -133,6 +138,59 @@ class TestErrorContract:
         pytest.param(lambda: resonant_cycles(math.nan), id="resonance-nan-period"),
         pytest.param(lambda: resonant_cycles(-4.0), id="resonance-negative-period"),
         pytest.param(lambda: resonant_cycles(math.inf), id="resonance-inf-period"),
+    ])
+    def test_rejected_with_cyclos_error(self, build):
+        with pytest.raises(CyclosError):
+            build()
+
+
+def nan_vote():
+    config = AccumulatorConfig((0.0, 10.0, 0.0, 10.0), (4, 4))
+    feature = Feature((math.nan, 1.0), 0.0, 0)
+    return accumulate([(GazeTransform(), [feature])], ModelTable({0: (0.0, 0.0)}), config)
+
+
+class TestNonFiniteInputs:
+    """Each row used to raise ValueError, TypeError or IndexError, or to pass
+    silently with a wrong result, instead of raising a CyclosError."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(nan_vote, id="accumulate-nan-feature"),
+        pytest.param(lambda: AccumulatorConfig((0.0, 1.0, 0.0, 1.0), (4, 4), "gaussian",
+                                               math.nan), id="accumulator-nan-bandwidth"),
+        pytest.param(lambda: AccumulatorConfig((0.0, 1.0, 0.0, 1.0), (4, 4), "delta",
+                                               math.nan), id="accumulator-nan-delta-bandwidth"),
+        pytest.param(lambda: AccumulatorConfig((math.nan, 1.0, 0.0, 1.0), (4, 4)),
+                     id="accumulator-nan-extent"),
+        pytest.param(lambda: AccumulatorConfig((0.0, math.inf, 0.0, 1.0), (4, 4)),
+                     id="accumulator-inf-extent"),
+        pytest.param(lambda: winding_number([0.0, math.nan, 0.0], closed=True),
+                     id="winding-nan-phase"),
+        pytest.param(lambda: winding_number([0.0, 1.0, math.inf], closed=False),
+                     id="winding-inf-phase"),
+        pytest.param(lambda: Trajectory2D(()).t_start, id="trajectory-empty"),
+        pytest.param(lambda: Disk((math.nan, 0.0), 1.0), id="disk-nan-center"),
+        pytest.param(lambda: Disk((0.0, math.inf), 1.0), id="disk-inf-center"),
+        pytest.param(lambda: Disk((0.0, 0.0), math.nan), id="disk-nan-radius"),
+        pytest.param(lambda: two_cycle(threshold=math.nan), id="network-nan-threshold"),
+        pytest.param(lambda: two_cycle(refractory=math.inf), id="network-inf-refractory"),
+        pytest.param(lambda: find_resonant_cycles(two_cycle(), 4.0, math.nan, 0.1, 2),
+                     id="resonance-nan-delta"),
+        pytest.param(lambda: find_resonant_cycles(two_cycle(), 4.0, 0.5, math.nan, 2),
+                     id="resonance-nan-gain"),
+        pytest.param(lambda: simulate(two_cycle(), [(0, math.nan)], 20.0),
+                     id="simulate-nan-stimulus"),
+        pytest.param(lambda: simulate(two_cycle(), [(0, 0.0)], math.nan),
+                     id="simulate-nan-horizon"),
+        pytest.param(lambda: simulate(two_cycle(), [(0.5, 0.0)], 20.0),
+                     id="simulate-fractional-neuron"),
+        pytest.param(lambda: STDPParams(math.nan, 0.1, 10.0, 10.0), id="stdp-nan-a-plus"),
+        pytest.param(lambda: STDPParams(math.inf, 0.1, 10.0, 10.0), id="stdp-inf-a-plus"),
+        pytest.param(lambda: STDPParams(0.1, math.nan, 10.0, 10.0), id="stdp-nan-a-minus"),
+        pytest.param(lambda: STDPParams(0.1, 0.1, math.nan, 10.0), id="stdp-nan-tau-plus"),
+        pytest.param(lambda: STDPParams(0.1, 0.1, 10.0, math.inf), id="stdp-inf-tau-minus"),
+        pytest.param(lambda: STDPParams(0.1, 0.1, 10.0, 10.0, math.nan), id="stdp-nan-w-max"),
+        pytest.param(lambda: STDPParams(0.1, 0.1, 10.0, 10.0, -1.0), id="stdp-negative-w-max"),
     ])
     def test_rejected_with_cyclos_error(self, build):
         with pytest.raises(CyclosError):

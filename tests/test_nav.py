@@ -10,6 +10,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclos import nav
 from cyclos.errors import ClosureError, CompositionError, FeasibilityError, SamplingError
@@ -228,3 +229,72 @@ class TestWorkspaceValidation:
     def test_json_round_trip(self):
         again = Workspace.from_json_obj(WS2.to_json_obj())
         assert again == WS2
+
+
+def reference_check_feasible(path, ws):
+    """The exact test on every (segment, obstacle) pair, in path then obstacle order."""
+    for p, q in zip(path, path[1:]):
+        for idx, disk in enumerate(ws.obstacles):
+            if not nav._segment_clears_disk(p, q, disk):
+                raise FeasibilityError(
+                    f"segment {p} -> {q} crosses obstacle {idx} at {disk.center}"
+                )
+
+
+# gaps around the exact test's acceptance edge at r - 1e-12
+TANGENT_GAPS = (-1e-9, -1e-10, -1e-11, -2e-12, -1e-12, 0.0, 1e-12, 1e-11, 1e-10, 1e-9)
+AXIS_ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+
+
+@st.composite
+def near_tangent_paths(draw):
+    """Disks in a row, far out (coordinates up to 1e6); paths mix random points
+    with segments tangent to a disk at r +- 1e-12..1e-9, some of zero length."""
+    ox, oy = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    unit = draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    disks = tuple(
+        Disk((ox + 10.0 * i * unit, oy + draw(st.floats(-3, 3)) * unit),
+             draw(st.floats(0.2, 2.0)) * unit)
+        for i in range(draw(st.integers(1, 4)))
+    )
+    ws = Workspace(disks, base=(ox - 20.0 * unit, oy))
+    path = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            path.append((ox + draw(st.floats(-5, 45)) * unit, oy + draw(st.floats(-5, 5)) * unit))
+            continue
+        disk = draw(st.sampled_from(disks))
+        phi = draw(st.sampled_from(AXIS_ANGLES) | st.floats(0, 2 * math.pi))
+        gap = disk.radius + draw(st.sampled_from(TANGENT_GAPS) | st.floats(-1e-9, 1e-9))
+        fx = disk.center[0] + gap * math.cos(phi)
+        fy = disk.center[1] + gap * math.sin(phi)
+        ux, uy = -math.sin(phi), math.cos(phi)
+        a = draw(st.just(0.0) | st.floats(-3, 3)) * unit
+        b = draw(st.just(a) | st.floats(-3, 3).map(lambda v: v * unit))
+        path += [(fx + a * ux, fy + a * uy), (fx + b * ux, fy + b * uy)]
+    if len(path) < 2:
+        path.append(path[0])
+    return path, ws
+
+
+def feasibility_outcome(check, path, ws):
+    try:
+        check(path, ws)
+    except FeasibilityError as err:
+        return str(err)
+    return None
+
+
+class TestCheckFeasibleOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(near_tangent_paths())
+    def test_matches_exact_check_on_every_pair(self, case):
+        path, ws = case
+        assert feasibility_outcome(nav.check_feasible, path, ws) == feasibility_outcome(
+            reference_check_feasible, path, ws)
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 3.0)])
+    def test_non_finite_points_take_the_exact_test(self, point):
+        path = [(-4.0, -4.0), point, (6.0, 6.0)]
+        assert feasibility_outcome(nav.check_feasible, path, WS2) == feasibility_outcome(
+            reference_check_feasible, path, WS2)

@@ -5,10 +5,12 @@ milliseconds when every hop is super-threshold), which the event-driven
 results are checked against.
 """
 
+import heapq
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cyclos import pngsim
 from cyclos.errors import ConfigError
@@ -75,29 +77,57 @@ class TestSimulate:
         assert log.spikes_of(0) == pytest.approx(expected)
 
 
+def reference_stdp_delta(pre_t, post_t, p):
+    """Signed weight change for one pre/post pairing; zero at coincidence."""
+    dt = post_t - pre_t
+    if dt > 0:
+        return p.a_plus * math.exp(-dt / p.tau_plus)
+    if dt < 0:
+        return -p.a_minus * math.exp(dt / p.tau_minus)
+    return 0.0
+
+
+def stdp_pair_weight(pre, post, p):
+    """Final weight of one synapse 0 -> 1 (weight 0.5, delay 1 ms) after
+    neuron 0 is stimulated at `pre` and neuron 1 at `post`; the threshold is
+    out of reach, so the only post spike is the stimulated one and the
+    synapse sees one pairing."""
+    net = DelayNetwork(2, (Synapse(0, 1, 0.5, 1.0),), delta=1.0, threshold=2.0)
+    log = pngsim.simulate(net, [(0, pre), (1, post)], horizon=200.0, stdp=p)
+    return log.final_weights[0]
+
+
 class TestStdpDelta:
+    """The STDP rule as `simulate` applies it, on a two-neuron net."""
+
     def test_potentiation_value(self):
+        # neuron 1 fires on the arrival, 10 ms after neuron 0's spike
         p = STDPParams(0.1, 0.12, 20.0, 20.0)
-        assert pngsim.stdp_delta(0.0, 10.0, p) == pytest.approx(0.1 * math.exp(-0.5))
+        net = DelayNetwork(2, (Synapse(0, 1, 0.6, 10.0),), delta=1.0, threshold=0.5)
+        log = pngsim.simulate(net, [(0, 0.0)], horizon=50.0, stdp=p)
+        assert log.spikes_of(1) == [10.0]
+        assert log.final_weights == (0.6 + 0.1 * math.exp(-10.0 / 20.0),)
 
     def test_depression_value(self):
         p = STDPParams(0.1, 0.12, 20.0, 20.0)
-        assert pngsim.stdp_delta(10.0, 0.0, p) == pytest.approx(-0.12 * math.exp(-0.5))
+        assert stdp_pair_weight(10.0, 0.0, p) == 0.5 + -0.12 * math.exp(-10.0 / 20.0)
 
     def test_simultaneous_is_zero(self):
         p = STDPParams(0.1, 0.12, 20.0, 20.0)
-        assert pngsim.stdp_delta(3.0, 3.0, p) == 0.0
+        assert stdp_pair_weight(3.0, 3.0, p) == 0.5
 
     def test_sign_property_random(self):
         p = STDPParams(0.05, 0.06, 15.0, 25.0)
         rng = random.Random(1)
         for _ in range(200):
             pre, post = rng.uniform(0, 100), rng.uniform(0, 100)
-            delta = pngsim.stdp_delta(pre, post, p)
+            weight = stdp_pair_weight(pre, post, p)
+            # the pre spike time simulate sees is its arrival minus the delay
+            assert weight == 0.5 + reference_stdp_delta((pre + 1.0) - 1.0, post, p)
             if post > pre:
-                assert delta >= 0
+                assert weight >= 0.5
             elif post < pre:
-                assert delta <= 0
+                assert weight <= 0.5
 
     def test_weights_stay_clipped_during_simulation(self):
         delays = [10.0, 12.0, 11.0]
@@ -287,3 +317,119 @@ class TestNetworkJson:
         net = ring_network([40.0, 40.0, 45.0])
         again = DelayNetwork.from_json_obj(net.to_json_obj())
         assert again == net
+
+
+def reference_simulate(net, stimuli, horizon, stdp=None, seed=0):
+    """Dict-keyed synapse lists; each arrival rebuilds its neuron's window list
+    by filtering out arrivals older than delta."""
+    weights = [s.weight for s in net.synapses]
+    outgoing = {}
+    for idx, syn in enumerate(net.synapses):
+        outgoing.setdefault(syn.pre, []).append(idx)
+    incoming = {}
+    for idx, syn in enumerate(net.synapses):
+        incoming.setdefault(syn.post, []).append(idx)
+
+    buffers = {n: [] for n in range(net.neuron_count)}
+    last_spike = [-math.inf] * net.neuron_count
+    last_arrival = [-math.inf] * len(net.synapses)
+    records = []
+    heap = []
+    seq = 0
+    for neuron, t in sorted(stimuli, key=lambda s: (s[1], s[0])):
+        heapq.heappush(heap, (float(t), neuron, -1, seq))
+        seq += 1
+
+    def fire(neuron, t, kind):
+        nonlocal seq
+        records.append((t, neuron, kind))
+        last_spike[neuron] = t
+        buffers[neuron] = []
+        if stdp is not None:
+            for syn_idx in incoming.get(neuron, ()):
+                arrival = last_arrival[syn_idx]
+                if arrival > -math.inf:
+                    pre_spike = arrival - net.synapses[syn_idx].delay
+                    w = weights[syn_idx] + reference_stdp_delta(pre_spike, t, stdp)
+                    weights[syn_idx] = min(max(w, 0.0), stdp.w_max)
+        for syn_idx in outgoing.get(neuron, ()):
+            arrival_t = t + net.synapses[syn_idx].delay
+            if arrival_t <= horizon:
+                heapq.heappush(heap, (arrival_t, net.synapses[syn_idx].post, syn_idx, seq))
+                seq += 1
+
+    while heap:
+        t, neuron, syn_idx, _ = heapq.heappop(heap)
+        if t > horizon:
+            break
+        if syn_idx == -1:
+            if t >= last_spike[neuron] + net.refractory:
+                fire(neuron, t, "stim")
+            continue
+        last_arrival[syn_idx] = t
+        if stdp is not None and last_spike[neuron] > -math.inf:
+            pre_spike = t - net.synapses[syn_idx].delay
+            w = weights[syn_idx] + reference_stdp_delta(pre_spike, last_spike[neuron], stdp)
+            weights[syn_idx] = min(max(w, 0.0), stdp.w_max)
+        window = [(at, w) for at, w in buffers[neuron] if at >= t - net.delta]
+        window.append((t, weights[syn_idx]))
+        buffers[neuron] = window
+        if (
+            len(window) >= net.k
+            and sum(w for _, w in window) >= net.threshold
+            and t >= last_spike[neuron] + net.refractory
+        ):
+            fire(neuron, t, "spike")
+
+    records.sort(key=lambda r: (r[0], r[1]))
+    return pngsim.EventLog(tuple(records), tuple(weights), horizon, seed)
+
+
+# half-millisecond grids make arrival ties, window edges (an arrival exactly
+# delta old) and refractory edges (a spike exactly one period later) common
+HALF_MS = st.integers(1, 8).map(lambda k: k * 0.5)
+# decimal weights whose float sums depend on the order they are added in; a
+# threshold that is one such sum sits exactly on the firing edge
+DECIMAL_WEIGHTS = st.sampled_from([0.1, 0.2, 0.3, 0.7])
+
+
+@st.composite
+def networks_and_stimuli(draw):
+    count = draw(st.integers(1, 5))
+    neuron = st.integers(0, count - 1)
+    synapses = tuple(
+        # -0.0 weights tell the clamp and the zero change at coincidence apart by sign
+        Synapse(draw(neuron), draw(neuron),
+                draw(DECIMAL_WEIGHTS | st.just(-0.0) | st.floats(0, 1)),
+                draw(HALF_MS | st.floats(0.1, 4)))
+        for _ in range(draw(st.integers(0, 10)))
+    )
+    net = DelayNetwork(count, synapses, delta=draw(HALF_MS | st.floats(0.1, 4)),
+                       k=draw(st.integers(1, 3)), refractory=draw(HALF_MS),
+                       threshold=draw(st.floats(0, 1.5)
+                                      | st.lists(DECIMAL_WEIGHTS, min_size=1, max_size=4).map(sum)))
+    stimuli = draw(st.lists(st.tuples(neuron, st.integers(0, 20).map(lambda k: k * 0.5)),
+                            max_size=8))
+    # zero amplitudes and w_max below the weights reach both edges of the clamp
+    amplitude = st.just(0.0) | st.floats(0, 0.3)
+    stdp = draw(st.none() | st.builds(STDPParams, amplitude, amplitude, st.floats(1, 30),
+                                      st.floats(1, 30), st.floats(0, 1, exclude_min=True)))
+    return net, stimuli, draw(st.floats(1, 25)), stdp
+
+
+# three arrivals whose weights reach the threshold only when summed oldest first
+CONVERGENT = DelayNetwork(4, tuple(Synapse(pre, 0, w, 1.0) for pre, w in
+                                   ((1, 0.1), (2, 0.2), (3, 0.3))),
+                          delta=2.0, k=3, threshold=0.1 + 0.2 + 0.3)
+
+
+class TestSimulateOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(networks_and_stimuli())
+    @example((CONVERGENT, [(1, 0.0), (2, 0.5), (3, 1.0)], 10.0, None))
+    def test_matches_reference(self, case):
+        net, stimuli, horizon, stdp = case
+        got = pngsim.simulate(net, stimuli, horizon, stdp)
+        want = reference_simulate(net, stimuli, horizon, stdp)
+        assert got.records == want.records
+        assert list(map(float.hex, got.final_weights)) == list(map(float.hex, want.final_weights))

@@ -1,9 +1,11 @@
-"""Integer elimination in ``ratlin`` against the ``Fraction`` elimination it
-replaced.
+"""Integer elimination and reduction in ``ratlin`` against the ``Fraction``
+loops they replaced.
 
 The RREF of a rational matrix is unique and both eliminations pick the
 lowest-index pivot, so ``rref`` must return exactly what the reference
 returns: the same ``Fraction`` rows, zero rows included, and the same pivots.
+A vector's reduction modulo RREF rows is unique too, so ``reduce_mod_rows``
+must return the reference's ``Fraction``s.
 """
 
 from fractions import Fraction
@@ -37,6 +39,16 @@ def reference_rref(a):
         if r == n_rows:
             break
     return m, pivots
+
+
+def reference_reduce_mod_rows(v, rows, pivots):
+    """Subtract each pivot row in ``Fraction``s."""
+    out = [Fraction(x) for x in v]
+    for row, pc in zip(rows, pivots):
+        coeff = out[pc]
+        if coeff != 0:
+            out = [x - coeff * y for x, y in zip(out, row)]
+    return out
 
 
 def reference_solve_gaussian(a, b):
@@ -135,6 +147,35 @@ def test_solve_gaussian_matches_reference(system):
     assert ratlin.solve_gaussian(a, b) == reference_solve_gaussian(a, b)
 
 
+@st.composite
+def vectors_and_reducers(draw):
+    """A vector and the pivot rows of ``reference_rref`` of a drawn matrix:
+    no rows, zero rows, full rank (every vector reduces to zero) or rank
+    deficient, and vectors with zero and nonzero pivot coordinates."""
+    a = draw(st.one_of(dense_matrices(), rank_deficient()))
+    n_cols = len(a[0]) if a else draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        # full rank: append the identity, so the rows span every vector
+        a = [*a, *([int(i == j) for j in range(n_cols)] for i in range(n_cols))]
+    reduced, pivots = reference_rref(a)
+    entries = draw(st.sampled_from([SMALL_INTS, SMALL_RATIONALS, FLOAT_53, FLOATS, ENTRIES]))
+    v = draw(st.lists(entries, min_size=n_cols, max_size=n_cols))
+    zeroed = draw(st.sets(st.sampled_from(pivots)) if pivots else st.just(set()))
+    v = [0 if i in zeroed else x for i, x in enumerate(v)]
+    return v, reduced[: len(pivots)], pivots
+
+
+@settings(max_examples=400, deadline=None)
+@given(vectors_and_reducers())
+def test_reduce_mod_rows_matches_fraction_subtraction(case):
+    v, rows, pivots = case
+    got = ratlin.reduce_mod_rows(v, rows, pivots)
+    assert got == reference_reduce_mod_rows(v, rows, pivots)
+    assert all(type(x) is Fraction for x in got)
+    if len(pivots) == len(v):
+        assert not any(got)
+
+
 def test_colimit_on_a_path_cover_matches_the_reference(monkeypatch):
     # a path nerve 0 - 1 - 2 has no monodromy: the relations leave one copy of
     # the stalk, so consistent co-sections reduce to one nonzero representative
@@ -150,6 +191,7 @@ def test_colimit_on_a_path_cover_matches_the_reference(monkeypatch):
     cosheaf = cech.CosheafData.build(cosections, extensions)
     result = cech.cosheaf_colimit(cosheaf, cover)
     monkeypatch.setattr(ratlin, "rref", reference_rref)
+    monkeypatch.setattr(ratlin, "reduce_mod_rows", reference_reduce_mod_rows)
     expected = cech.cosheaf_colimit(cosheaf, cover)
     assert isinstance(result, cech.ColimitElement)
     assert any(result.representative)
