@@ -137,11 +137,15 @@ class ChainComplex:
             self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
             if len(self._vertex_index) != len(self.vertices):
                 raise CyclosError("duplicate vertex ids")
-            self.edges = tuple((t, h) for t, h in edges)
-            self.triangles = tuple((a, b, c) for a, b, c in triangles)
-            for tail, head in self.edges:
-                if tail not in self._vertex_index or head not in self._vertex_index:
-                    raise CyclosError(f"edge ({tail!r}, {head!r}) references unknown vertex")
+            self.edges = tuple(map(tuple, edges))
+            self.triangles = tuple(map(tuple, triangles))
+            distinct = set(self.edges)  # C-level passes over the distinct edges
+            if not set(map(len, distinct)) <= {2} or not set(map(len, self.triangles)) <= {3}:
+                raise CyclosError("edges need two vertex ids and triangles three")
+            if not set().union(*distinct).issubset(self._vertex_index):
+                for tail, head in self.edges:
+                    if tail not in self._vertex_index or head not in self._vertex_index:
+                        raise CyclosError(f"edge ({tail!r}, {head!r}) references unknown vertex")
 
             if boundary2_override is not None:
                 self.boundary2 = [list(map(int, row)) for row in boundary2_override]
@@ -149,8 +153,8 @@ class ChainComplex:
                     len(row) != len(self.triangles) for row in self.boundary2
                 ):
                     raise CyclosError("boundary2 override must be edges x triangles")
-            else:
-                self.boundary2 = self._build_boundary2()
+            elif self.triangles:
+                self.boundary2  # resolve every triangle side now, so a bad one fails here
 
     # -- construction helpers -------------------------------------------------
 
@@ -163,9 +167,11 @@ class ChainComplex:
             mat[self._vertex_index[tail]][j] -= 1
         return mat
 
-    def _build_boundary2(self) -> list[list[int]]:
-        """Triangle (a, b, c) has boundary a->b + b->c + c->a, each side
-        resolved by :func:`side_edges`."""
+    @cached_property
+    def boundary2(self) -> list[list[int]]:
+        """Edge-by-triangle matrix, built on first access (at construction
+        when there are triangles). Triangle (a, b, c) has boundary
+        a->b + b->c + c->a, each side resolved by :func:`side_edges`."""
         if not self.triangles:
             return [[] for _ in self.edges]
         mat = [[0] * len(self.triangles) for _ in self.edges]

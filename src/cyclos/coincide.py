@@ -6,15 +6,18 @@ onto the cycle space cancels everything that shows up in the boundary, so
 what survives is exactly the closed, reproducible part of the train.
 
 Pairs are enumerated and capped per ordered neuron pair in one pass, and
-each kept pair carries its phase distance, so a ladder of windows filters
-one list instead of measuring every pair again.
+each kept pair carries its phase distance, so a ladder of windows takes
+prefixes of one list sorted by distance instead of measuring every pair
+again. Once a neuron's pair with every other neuron has overflowed the cap,
+its spikes only add to overflow counts, taken per neuron from one phase
+window of the later spikes instead of pair by pair.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
@@ -40,12 +43,14 @@ class SpikeTrain:
         if not is_int(neurons) or neurons < 0:
             raise CyclosError(f"neuron count must be a non-negative integer, got {neurons!r}")
         normalized = []
-        for neuron, t in spikes:
-            if not is_int(neuron) or not 0 <= neuron < neurons:
-                raise CyclosError(f"spike neuron {neuron!r} is not an integer in 0..{neurons - 1}")
-            if not math.isfinite(t):
-                raise CyclosError("spike times must be finite")
-            normalized.append((int(neuron), float(t)))
+        with malformed("spike list"):  # non-pairs and non-number times
+            for neuron, t in spikes:
+                if not is_int(neuron) or not 0 <= neuron < neurons:
+                    raise CyclosError(
+                        f"spike neuron {neuron!r} is not an integer in 0..{neurons - 1}")
+                if isinstance(t, bool) or not math.isfinite(t):
+                    raise CyclosError(f"spike times must be finite numbers, got {t!r}")
+                normalized.append((int(neuron), float(t)))
         normalized.sort(key=lambda s: (s[1], s[0]))
         object.__setattr__(self, "neurons", int(neurons))
         object.__setattr__(self, "spikes", tuple(normalized))
@@ -56,7 +61,7 @@ class SpikeTrain:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "SpikeTrain":
         with malformed("spike train JSON"):
-            return cls(obj["neurons"], [(n, float(t)) for n, t in obj["spikes"]])
+            return cls(obj["neurons"], obj["spikes"])
 
 
 @dataclass(frozen=True)
@@ -91,10 +96,32 @@ def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int
     kept = []
     counts: dict[tuple[int, int], int] = {}
     overflow: dict[tuple[int, int], int] = {}
+    others = len(set(neurons)) - 1
+    overflowed = [0] * train.neurons  # per neuron i: how many (i, j) have overflowed
+    later = None  # the spikes from `indexed` on, in phase order
     for a, (i, t, phase_a) in enumerate(zip(neurons, times, phases)):
         # spikes are in time order and simultaneous ones stay unordered, so the
         # partners of spike a start after its time tie
         start = bisect_right(times, t, a + 1)
+        if overflowed[i] == others:
+            # i is saturated: count its partners per neuron in one phase window
+            if later is None:
+                later = sorted(range(start, len(times)), key=phases.__getitem__)
+                later_phases = [phases[b] for b in later]
+                indexed = start
+            for b in range(indexed, start):  # the earliest spike left leads its phase tie
+                k = bisect_left(later_phases, phases[b])
+                del later[k], later_phases[k]
+            indexed = start
+            run = _phase_run(later_phases, phase_a, limit)
+            if run is not None:
+                y2, y1, x1, x2 = run
+                window = later[y1:x1] + later[:y2] + later[x2:]
+                partners = Counter(map(neurons.__getitem__, window))
+                partners.pop(i, None)  # self-pairs carry no relation
+                for j, n in partners.items():
+                    overflow[(i, j)] += n
+                continue
         for j, t_next, phase_b in zip(neurons[start:], times[start:], phases[start:]):
             if i == j:
                 continue  # self-pairs carry no relation
@@ -107,9 +134,41 @@ def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int
                 counts[key] = counts.get(key, 0) + 1
                 if counts[key] <= cap:
                     kept.append((i, j, t, t_next, d))
+                elif key in overflow:
+                    overflow[key] += 1
                 else:
-                    overflow[key] = overflow.get(key, 0) + 1
+                    overflow[key] = 1
+                    overflowed[i] += 1
     return kept, overflow
+
+
+def _phase_run(phases: Sequence[float], center: float, limit: float):
+    """Bounds (y2, y1, x1, x2): the sorted `phases` within circular distance
+    `limit` < pi of `center` are phases[y1:x1] + phases[:y2] + phases[x2:].
+
+    On each side of `center` the float gap |center - p| is monotone in p, so
+    the near test (gap <= limit) holds on a run next to `center` and the wrap
+    test (2*pi - gap <= limit) on a run at the far end. Each bisected run end
+    is settled by these exact tests on its two neighbours; if one fails, None.
+    """
+    m = len(phases)
+    pos = bisect_left(phases, center)  # phases[pos:] lie at or above center
+    y1 = bisect_left(phases, center - limit, 0, pos)
+    x1 = bisect_right(phases, center + limit, pos)
+    y2 = bisect_right(phases, center + limit - TWO_PI, 0, y1)
+    x2 = bisect_left(phases, center - limit + TWO_PI, x1)
+    if (
+        (y1 == pos or center - phases[y1] <= limit)
+        and (y1 == 0 or center - phases[y1 - 1] > limit)
+        and (x1 == pos or phases[x1 - 1] - center <= limit)
+        and (x1 == m or phases[x1] - center > limit)
+        and (y2 == 0 or TWO_PI - (center - phases[y2 - 1]) <= limit)
+        and (y2 == pos or TWO_PI - (center - phases[y2]) > limit)
+        and (x2 == m or TWO_PI - (phases[x2] - center) <= limit)
+        and (x2 == pos or TWO_PI - (phases[x2 - 1] - center) > limit)
+    ):
+        return y2, y1, x1, x2
+    return None
 
 
 def build_coincidence_graph(
@@ -232,9 +291,9 @@ def coincidence_persistence(
     for d in deltas:
         CoincidenceWindow(d)  # range validation
     kept, _ = _coincident_pairs(train, osc, deltas[-1], multiplicity_cap)
-    graphs = {
-        delta: ChainComplex(list(range(train.neurons)),
-                            [(i, j) for i, j, _, _, d in kept if d <= delta])
-        for delta in deltas
-    }
+    kept.sort(key=operator.itemgetter(4))  # by phase distance: each window keeps a prefix
+    distances = [d for *_, d in kept]
+    edges = [(i, j) for i, j, *_ in kept]
+    graphs = {delta: ChainComplex(range(train.neurons), edges[: bisect_right(distances, delta)])
+              for delta in deltas}
     return compute_barcode(window_filtration(graphs))

@@ -8,7 +8,8 @@ triangle columns, which is exact on the small complexes in scope. Triangle
 sides resolve to edges by ``chaincore.side_edges``, the rule ``ChainComplex``
 builds boundary2 with, so the barcode reduces the boundary matrix of
 ``Filtration.complex_at`` (Zomorodian & Carlsson, "Computing persistent
-homology", 2005).
+homology", 2005). Canonical simplex sort keys are computed once per simplex
+object, since a window ladder repeats a few hundred edges thousands of times.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ class Filtration:
     """
 
     def __init__(self, steps: Sequence[FiltrationStep]):
-        ordered = sorted(
-            steps, key=lambda s: (s.value, _DIM_RANK[s.kind], _simplex_sort_key(s.simplex))
-        )
+        sort_key = _cached_sort_key()
+        ordered = sorted(steps, key=lambda s: (s.value, _DIM_RANK[s.kind], sort_key(s.simplex)))
         self.steps = tuple(ordered)
         self._validate()
 
@@ -109,6 +109,20 @@ def _id_sort_key(x):
 
 def _simplex_sort_key(simplex: tuple):
     return tuple(_id_sort_key(x) for x in simplex)
+
+
+def _cached_sort_key():
+    """`_simplex_sort_key` computed once per simplex object. The cache is keyed
+    by identity, not value: equal ids such as 1 and True sort apart."""
+    cache: dict[int, tuple] = {}
+
+    def sort_key(simplex: tuple):
+        key = cache.get(id(simplex))
+        if key is None:
+            key = cache[id(simplex)] = _simplex_sort_key(simplex)
+        return key
+
+    return sort_key
 
 
 @dataclass(frozen=True)
@@ -173,9 +187,7 @@ def compute_barcode(filtration: Filtration) -> Barcode:
         return (vertex_birth[root], _id_sort_key(root))
 
     bars: list[Bar] = []
-    # edges are positioned in step order, as in complex_at; validation puts
-    # the lowest-index edge of every triangle side before the triangle
-    sides = side_edges([step.simplex for step in filtration.steps if step.kind == "edge"])
+    sides = None  # built at the first triangle
     pos = 0  # position of the next edge
     creator_edges: dict[int, float] = {}  # edge position -> birth value of its H1 class
     low_owner: dict[int, set[int]] = {}  # pivot edge position -> reduced column (set of edge pos)
@@ -195,6 +207,10 @@ def compute_barcode(filtration: Filtration) -> Barcode:
                 uf.union(elder, younger)
             pos += 1
         else:
+            if sides is None:
+                # edges are positioned in step order, as in complex_at; validation
+                # puts the lowest-index edge of every triangle side before the triangle
+                sides = side_edges([s.simplex for s in filtration.steps if s.kind == "edge"])
             a, b, c = step.simplex
             column: set[int] = set()
             for side in ((a, b), (b, c), (c, a)):
@@ -248,6 +264,7 @@ def window_filtration(graphs: Mapping[float, ChainComplex]) -> Filtration:
     if not graphs:
         return Filtration([])
     deltas = sorted(graphs)
+    sort_key = _cached_sort_key()
     steps: list[FiltrationStep] = []
     seen_vertices: set = set()
     seen_edge_counts: Counter = Counter()
@@ -269,10 +286,10 @@ def window_filtration(graphs: Mapping[float, ChainComplex]) -> Filtration:
             steps.append(FiltrationStep(delta, "vertex", (v,)))
             seen_vertices.add(v)
         new_edges = edge_counts - seen_edge_counts
-        for e in sorted(new_edges, key=_simplex_sort_key):
+        for e in sorted(new_edges, key=sort_key):
             steps.extend(FiltrationStep(delta, "edge", e) for _ in range(new_edges[e]))
         seen_edge_counts = edge_counts
-        for t in sorted(tri_set - seen_triangles, key=_simplex_sort_key):
+        for t in sorted(tri_set - seen_triangles, key=sort_key):
             steps.append(FiltrationStep(delta, "triangle", t))
         seen_triangles = tri_set
     return Filtration(steps)

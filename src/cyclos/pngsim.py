@@ -43,6 +43,10 @@ class Synapse:
     weight: float
     delay: float  # ms
 
+    def __post_init__(self):
+        if not (is_int(self.pre) and is_int(self.post)):
+            raise ConfigError(f"synapse ends must be integers, got {self.pre!r} -> {self.post!r}")
+
 
 @dataclass(frozen=True)
 class DelayNetwork:
@@ -55,6 +59,8 @@ class DelayNetwork:
     w_max: float = 1.0
 
     def __post_init__(self):
+        if not (is_int(self.neuron_count) and is_int(self.k)):
+            raise ConfigError(f"non-integer neuron count or k: {self.neuron_count!r}, {self.k!r}")
         if self.neuron_count < 0 or self.k < 1 or not self.delta > 0 or not self.refractory >= 0:
             raise ConfigError("invalid network parameters")  # the negated tests reject NaN
         # an infinite refractory period makes -inf + inf = NaN for a neuron that never fired
@@ -88,11 +94,10 @@ class DelayNetwork:
     def from_json_obj(cls, obj: Mapping) -> "DelayNetwork":
         with malformed("delay network JSON"):
             return cls(
-                neuron_count=int(obj["neurons"]),
-                synapses=tuple(Synapse(int(p), int(q), float(w), float(d))
-                               for p, q, w, d in obj["synapses"]),
+                neuron_count=obj["neurons"],
+                synapses=tuple(Synapse(p, q, float(w), float(d)) for p, q, w, d in obj["synapses"]),
                 delta=float(obj["delta_ms"]),
-                k=int(obj.get("k", 1)),
+                k=obj.get("k", 1),
                 refractory=float(obj.get("refractory_ms", 1.0)),
                 threshold=float(obj.get("threshold", 0.5)),
                 w_max=float(obj.get("w_max", 1.0)),

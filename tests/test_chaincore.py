@@ -189,6 +189,42 @@ class TestDDZero:
             assert ChainComplex(vertices, edges, triangles).boundary2 == expected
 
 
+class TestConstruction:
+    def test_unknown_vertex_names_the_first_bad_edge(self):
+        with pytest.raises(CyclosError, match=r"^edge \(0, 5\) references unknown vertex$"):
+            ChainComplex([0, 1, 2], [(0, 1), (0, 5), (7, 0)])
+
+    @pytest.mark.parametrize("edges, triangles", [
+        pytest.param([(0, 1), (0, 1, 2)], [], id="mixed-arity-edges"),
+        pytest.param([(0,)], [], id="one-vertex-edge"),
+        pytest.param([0], [], id="non-sequence-edge"),
+        pytest.param([(0, 1), (1, 2), (2, 0)], [(0, 1, 2, 0)], id="four-vertex-triangle"),
+        pytest.param([(0, 1), (1, 2), (2, 0)], [(0, 1, 2), (0, 1)], id="mixed-arity-triangles"),
+        pytest.param([(0, [1])], [], id="unhashable-edge-id"),
+        pytest.param([(0, 1), (1, 2), (2, 0)], [(0, 1, {2})], id="unhashable-triangle-id"),
+    ])
+    def test_malformed_simplices_raise_cyclos_error(self, edges, triangles):
+        with pytest.raises(CyclosError):
+            ChainComplex([0, 1, 2], edges, triangles)
+
+    def test_triangle_free_boundary2_is_built_on_first_access(self):
+        cx = ChainComplex([0, 1, 2], [(0, 1), (1, 2), (0, 1)])
+        assert "boundary2" not in cx.__dict__
+        assert cx.boundary2 == [[]] * 3
+        assert "boundary2" in cx.__dict__
+
+    def test_triangles_resolve_at_construction(self):
+        assert "boundary2" in triangle_complex(filled=True).__dict__
+        with pytest.raises(CyclosError, match="has no matching edge"):
+            ChainComplex([0, 1, 2], [(0, 1), (1, 2)], [(0, 1, 2)])
+
+    def test_override_is_stored_and_checked_at_construction(self):
+        cx = ChainComplex([0, 1], [(0, 1)], boundary2_override=[[]])
+        assert cx.__dict__["boundary2"] == [[]]
+        with pytest.raises(CyclosError, match="edges x triangles"):
+            ChainComplex([0, 1], [(0, 1)], boundary2_override=[])
+
+
 class TestCycleSpace:
     def test_triangle_graph_has_one_cycle(self):
         cx = triangle_complex()

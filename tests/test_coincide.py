@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -413,3 +414,106 @@ class TestTrialInvarianceOracle:
         trials, window, epsilon, cap = inputs
         got = coincide.trial_invariance(trials, OSC, window, epsilon, cap)
         assert got == reference_trial_invariance(trials, OSC, window, epsilon, cap)
+
+
+# -- reference: the time-ordered pair loop, with no sweep for saturated neurons --
+
+
+def reference_coincident_pairs(train, osc, limit, cap):
+    """Kept (i, j, t, t', distance) pairs and overflow from one loop over every
+    later spike of every spike."""
+    neurons = [neuron for neuron, _ in train.spikes]
+    times = [t for _, t in train.spikes]
+    phases = [wrap_time(t, osc) for t in times]
+    kept, counts, overflow = [], {}, {}
+    for a, (i, t, phase_a) in enumerate(zip(neurons, times, phases)):
+        start = bisect_right(times, t, a + 1)
+        for j, t_next, phase_b in zip(neurons[start:], times[start:], phases[start:]):
+            if i == j:
+                continue
+            d = abs(phase_a - phase_b) % TWO_PI
+            if TWO_PI - d < d:
+                d = TWO_PI - d
+            if d <= limit:
+                key = (i, j)
+                counts[key] = counts.get(key, 0) + 1
+                if counts[key] <= cap:
+                    kept.append((i, j, t, t_next, d))
+                else:
+                    overflow[key] = overflow.get(key, 0) + 1
+    return kept, overflow
+
+
+# 0.125 s is one 8 Hz period, so grid times share one phase; k / 96 s steps pi / 6
+GRID_TIMES = (st.integers(0, 40).map(lambda k: 0.125 * k) | st.integers(0, 96).map(lambda k: k / 96)
+              | st.floats(0.0, 5.0))
+
+
+@st.composite
+def saturating_inputs(draw):
+    neurons = draw(st.integers(1, 6))
+    spikes = draw(st.lists(st.tuples(st.integers(0, neurons - 1), GRID_TIMES), max_size=40))
+    offset = draw(st.sampled_from([0.0]) | st.floats(-7.0, 7.0))
+    osc = Oscillator(draw(st.sampled_from([8.0, 5.3])), offset)
+    limit = draw(st.floats(1e-3, math.pi, exclude_max=True) | st.sampled_from(NEAR_PI))
+    return SpikeTrain(neurons, spikes), osc, limit, draw(st.integers(1, 5))
+
+
+def record_phase_runs(monkeypatch):
+    """Results of every `_phase_run` call, one per spike of a saturated neuron."""
+    results = []
+    phase_run = coincide._phase_run
+
+    def recording(*args):
+        results.append(phase_run(*args))
+        return results[-1]
+
+    monkeypatch.setattr(coincide, "_phase_run", recording)
+    return results
+
+
+def assert_matches_reference(train, osc, limit, cap):
+    kept, overflow = coincide._coincident_pairs(train, osc, limit, cap)
+    ref_kept, ref_overflow = reference_coincident_pairs(train, osc, limit, cap)
+    assert kept == ref_kept
+    # the key order is the order of each pair's first overflow
+    assert list(overflow.items()) == list(ref_overflow.items())
+
+
+class TestSaturatedSweep:
+    @settings(max_examples=400, deadline=None)
+    @given(saturating_inputs())
+    def test_matches_time_ordered_loop(self, inputs):
+        assert_matches_reference(*inputs)
+
+    def test_saturated_neuron_takes_the_sweep(self, monkeypatch):
+        # both neurons fire at phase 0 and 0.1 every period, so with cap 1 each
+        # ordered pair overflows in the first periods
+        spikes = [(0, time_at_phase(0.0, lap=k)) for k in range(6)]
+        spikes += [(1, time_at_phase(0.1, lap=k)) for k in range(6)]
+        runs = record_phase_runs(monkeypatch)
+        assert_matches_reference(SpikeTrain(2, spikes), OSC, 0.3, 1)
+        assert len(runs) >= 8 and None not in runs
+
+    def test_unconfirmed_run_falls_back_to_the_loop(self, monkeypatch):
+        # a window edge where bisect on center + limit and the exact test
+        # (phase_b - center <= limit) disagree by rounding
+        t_a = 0.3
+        for k in range(1, 200):
+            t_b = t_a + k * 1e-4
+            center, phase_b = wrap_time(t_a, OSC), wrap_time(t_b, OSC)
+            limit = phase_b - center
+            for _ in range(4):
+                if (phase_b <= center + limit) != (phase_b - center <= limit):
+                    break
+                limit = math.nextafter(limit, 0.0)
+            else:
+                continue
+            break
+        else:
+            pytest.fail("no rounding disagreement found")
+        # the first two spikes overflow (0, 1) under cap 1, saturating neuron 0
+        train = SpikeTrain(2, [(0, 0.0), (1, 1e-7), (1, 2e-7), (0, t_a), (1, t_b)])
+        runs = record_phase_runs(monkeypatch)
+        assert_matches_reference(train, OSC, limit, 1)
+        assert runs == [None]

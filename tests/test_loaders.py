@@ -68,6 +68,26 @@ class TestMalformedInput:
                      id="train-json-bool-neuron"),
         pytest.param(lambda: SpikeTrain(2, [(True, 0.0)]), id="train-bool-neuron"),
         pytest.param(lambda: SpikeTrain(2, [(0.5, 0.0)]), id="train-fractional-neuron"),
+        pytest.param(lambda: SpikeTrain(2, [(0, "x")]), id="train-string-time"),
+        pytest.param(lambda: SpikeTrain(2, [(0,)]), id="train-one-element-spike-direct"),
+        pytest.param(lambda: SpikeTrain(2, [(0, True)]), id="train-bool-time"),
+        pytest.param(lambda: SpikeTrain.from_json_obj({"neurons": 2, "spikes": [[0, True]]}),
+                     id="train-json-bool-time"),
+        pytest.param(lambda: DelayNetwork.from_json_obj(
+            {"neurons": 2.7, "synapses": [[0, 1, 0.5, 1.0]], "delta_ms": 1.0}),
+            id="network-json-fractional-count"),
+        pytest.param(lambda: DelayNetwork.from_json_obj(
+            {"neurons": 2, "synapses": [[0.5, 1, 0.5, 1.0]], "delta_ms": 1.0}),
+            id="network-json-fractional-synapse-id"),
+        pytest.param(lambda: DelayNetwork.from_json_obj(
+            {"neurons": 2, "synapses": [[0, 1, 0.5, 1.0]], "delta_ms": 1.0, "k": 1.9}),
+            id="network-json-fractional-k"),
+        pytest.param(lambda: DelayNetwork.from_json_obj(
+            {"neurons": 2, "synapses": [[0, True, 0.5, 1.0]], "delta_ms": 1.0}),
+            id="network-json-bool-synapse-id"),
+        pytest.param(lambda: Synapse(0, 1.0, 0.5, 1.0), id="synapse-float-id"),
+        pytest.param(lambda: DelayNetwork(2.0, (), delta=1.0), id="network-float-count"),
+        pytest.param(lambda: DelayNetwork(2, (), delta=1.0, k=1.5), id="network-fractional-k"),
     ])
     def test_rejected_with_cyclos_error(self, build):
         with pytest.raises(CyclosError):
@@ -80,6 +100,18 @@ class TestMalformedInput:
             loader(obj)
         except CyclosError:
             pass
+
+
+class TestAcceptedInput:
+    def test_spike_train_json_round_trip(self):
+        train = SpikeTrain.from_json_obj({"neurons": 2, "spikes": [[1, 1], [0, 0.5]]})
+        assert train.spikes == ((0, 0.5), (1, 1.0))
+        assert SpikeTrain.from_json_obj(train.to_json_obj()) == train
+
+    def test_delay_network_json_with_integer_ids(self):
+        obj = {"neurons": 2, "synapses": [[0, 1, 0.5, 1]], "delta_ms": 1, "k": 1}
+        net = DelayNetwork.from_json_obj(obj)
+        assert (net.neuron_count, net.k, net.synapses) == (2, 1, (Synapse(0, 1, 0.5, 1.0),))
 
 
 class TestConstructors:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cyclos.chaincore import ChainComplex
 from cyclos.errors import CyclosError, FiltrationError, MonotonicityError
 from cyclos.persist import (
+    _DIM_RANK,
     Bar,
     Barcode,
     Filtration,
@@ -18,6 +19,7 @@ from cyclos.persist import (
     compute_barcode,
     persistence_index,
     window_filtration,
+    _simplex_sort_key,
 )
 
 INF = math.inf
@@ -84,6 +86,40 @@ class TestFiltrationValidation:
         filt = Filtration(steps_for_triangle(fill_at=4.0))
         again = Filtration.from_json_obj(filt.to_json_obj())
         assert again.steps == filt.steps
+
+
+# ids that compare equal across types (1, 1.0 and True) but sort apart
+MIXED_IDS = (0, 1, 1.0, True, False, 2.5, -3, "a", "1", "True")
+
+
+@st.composite
+def mixed_id_steps(draw):
+    """Vertex steps for ids distinct under ==, and edges written with any id
+    equal to a vertex: (True, "a") is an edge on vertex 1. Simplex objects
+    repeat, as window_filtration's copies of a parallel edge do."""
+    vertices = draw(st.lists(st.sampled_from(MIXED_IDS), min_size=1, max_size=6, unique=True))
+    distinct = list({v: v for v in vertices})  # drops ids equal to an earlier one
+    ends = [x for x in MIXED_IDS if x in distinct]
+    simplices = draw(st.lists(st.tuples(st.sampled_from(ends), st.sampled_from(ends)),
+                              max_size=6))
+    values = st.sampled_from([0.0, 0.5, 1.0])
+    steps = [FiltrationStep(0.0, "vertex", (v,)) for v in distinct]
+    for _ in range(draw(st.integers(0, 12)) if simplices else 0):
+        edge = draw(st.sampled_from(simplices))
+        if draw(st.booleans()):
+            edge = tuple(list(edge))  # an equal simplex in a new object
+        steps.append(FiltrationStep(draw(values), "edge", edge))
+    return draw(st.permutations(steps))
+
+
+class TestFiltrationOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_id_steps())
+    def test_cached_keys_order_like_simplex_sort_key(self, steps):
+        expected = sorted(steps, key=lambda s: (s.value, _DIM_RANK[s.kind],
+                                                _simplex_sort_key(s.simplex)))
+        # FiltrationStep equality cannot tell 1 from True, so compare the objects
+        assert list(map(id, Filtration(steps).steps)) == list(map(id, expected))
 
 
 class TestComputeBarcode:
