@@ -293,7 +293,8 @@ def coincidence_persistence(
     kept, _ = _coincident_pairs(train, osc, deltas[-1], multiplicity_cap)
     kept.sort(key=operator.itemgetter(4))  # by phase distance: each window keeps a prefix
     distances = [d for *_, d in kept]
-    edges = [(i, j) for i, j, *_ in kept]
+    interned: dict[tuple[int, int], tuple[int, int]] = {}  # one tuple per neuron pair
+    edges = [interned.setdefault((i, j), (i, j)) for i, j, *_ in kept]
     graphs = {delta: ChainComplex(range(train.neurons), edges[: bisect_right(distances, delta)])
               for delta in deltas}
     return compute_barcode(window_filtration(graphs))

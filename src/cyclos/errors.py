@@ -57,7 +57,7 @@ class MonotonicityError(CyclosError):
 
 
 class FiltrationError(CyclosError):
-    """A filtration step precedes one of its faces, repeats a vertex, or is NaN."""
+    """A filtration step is malformed or NaN, precedes one of its faces, or repeats a vertex."""
 
 
 class FeasibilityError(CyclosError):

@@ -1,15 +1,22 @@
-"""Filtrations of graph/2-complexes, H0/H1 barcodes, and the persistence index.
+"""Filtrations of graph/2-complexes and their H0/H1 barcodes.
 
 This is the one H0 engine in cyclos: ``ght.peak_persistence`` builds a
 filtration of its grid and reads the dim-0 bars of :func:`compute_barcode`.
 H0 runs on ``chaincore.UnionFind`` with the elder rule (ties broken by lower
-vertex id); H1 deaths come from standard GF(2) column reduction of the
-triangle columns, which is exact on the small complexes in scope. Triangle
-sides resolve to edges by ``chaincore.side_edges``, the rule ``ChainComplex``
-builds boundary2 with, so the barcode reduces the boundary matrix of
-``Filtration.complex_at`` (Zomorodian & Carlsson, "Computing persistent
-homology", 2005). Canonical simplex sort keys are computed once per simplex
-object, since a window ladder repeats a few hundred edges thousands of times.
+vertex id); H1 deaths come from standard column reduction of the triangle
+columns (Zomorodian & Carlsson, "Computing persistent homology", 2005).
+Triangle sides resolve to edges by ``chaincore.side_edges``, the rule
+``ChainComplex`` builds boundary2 with, so the barcode reduces the boundary
+matrix of ``Filtration.complex_at``, but over GF(2), while ``chaincore``'s
+``betti`` and homology classes reduce over the rationals. The two disagree
+when H1 has 2-torsion: on the 6-vertex triangulation of RP^2 one H1 bar never
+dies, yet ``betti(complex_at(2), 1)`` is 0.
+
+A window ladder repeats a few hundred edges thousands of times. Sort keys
+are cached per simplex object, so callers should pass one tuple per edge
+(``coincidence_persistence`` interns them); the copies an edge gains at one
+window share one step object, and the essential H1 classes born at one step
+value share one bar.
 """
 
 from __future__ import annotations
@@ -34,10 +41,17 @@ class FiltrationStep:
     simplex: tuple
 
     def __post_init__(self):
-        if self.kind not in _DIM_RANK:
-            raise CyclosError(f"unknown simplex kind {self.kind!r}")
-        if math.isnan(self.value):
+        try:
+            nan = math.isnan(self.value)
+            sized = len(self.simplex) == _DIM_RANK[self.kind] + 1
+        except (KeyError, TypeError):  # a non-real value, a simplex without a length, a bad kind
+            nan = sized = False
+        if nan:
             raise FiltrationError(f"{self.kind} {self.simplex} has a NaN filtration value")
+        if not sized:
+            raise FiltrationError(
+                "a filtration step is a vertex, edge or triangle of 1, 2 or 3 vertex ids "
+                f"at a real value, got {self.kind!r} {self.simplex!r} at {self.value!r}")
 
 
 class Filtration:
@@ -49,9 +63,10 @@ class Filtration:
 
     def __init__(self, steps: Sequence[FiltrationStep]):
         sort_key = _cached_sort_key()
-        ordered = sorted(steps, key=lambda s: (s.value, _DIM_RANK[s.kind], sort_key(s.simplex)))
-        self.steps = tuple(ordered)
-        self._validate()
+        with malformed("filtration", FiltrationError):  # unhashable ids, non-step items
+            ordered = sorted(steps, key=lambda s: (s.value, _DIM_RANK[s.kind], sort_key(s.simplex)))
+            self.steps = tuple(ordered)
+            self._validate()
 
     def _validate(self):
         present_vertices: set = set()
@@ -153,10 +168,6 @@ class Barcode:
     def alive_count(self, dim: int, value: float) -> int:
         return sum(1 for b in self.bars if b.dim == dim and b.alive_at(value))
 
-    def max_finite(self) -> float | None:
-        finite = [b.birth for b in self.bars] + [b.death for b in self.bars if b.death != INF]
-        return max(finite) if finite else None
-
     def to_json_obj(self) -> dict:
         return {
             "bars": [
@@ -168,15 +179,6 @@ class Barcode:
     def from_json_obj(cls, obj: Mapping) -> "Barcode":
         with malformed("barcode JSON"):
             return cls(tuple(Bar(int(d), float(b), float(dth)) for d, b, dth in obj["bars"]))
-
-
-@dataclass(frozen=True)
-class PersistenceIndex:
-    """(count, total length) of bars persisting at least `threshold`."""
-
-    threshold: float
-    long_bar_count: int
-    total_persistence: float
 
 
 def compute_barcode(filtration: Filtration) -> Barcode:
@@ -231,28 +233,14 @@ def compute_barcode(filtration: Filtration) -> Barcode:
     roots = {uf.find(v) for v in uf.parent}
     for root in sorted(roots, key=elder_order):
         bars.append(Bar(0, vertex_birth[root], INF))
-    for pos in sorted(creator_edges):
-        bars.append(Bar(1, creator_edges[pos], INF))
+    bar = None
+    for pos in sorted(creator_edges):  # filtration order, so equal births are adjacent
+        birth = creator_edges[pos]
+        if bar is None or bar.birth is not birth:  # not ==: 1 and 1.0, 0.0 and -0.0 print apart
+            bar = Bar(1, birth, INF)
+        bars.append(bar)
     bars.sort(key=lambda bar: (bar.dim, bar.birth, bar.death))
     return Barcode(tuple(bars))
-
-
-def persistence_index(barcode: Barcode, threshold: float, cap: float | None = None) -> PersistenceIndex:
-    """Count/sum bars whose (capped) persistence reaches the threshold."""
-    if threshold < 0:
-        raise CyclosError("threshold must be non-negative")
-    if cap is None:
-        max_finite = barcode.max_finite()
-        cap = (max_finite + 1.0) if max_finite is not None else 1.0
-    count = 0
-    total = 0.0
-    for bar in barcode.bars:
-        death = min(bar.death, cap)
-        length = death - bar.birth
-        if length >= threshold:
-            count += 1
-            total += length
-    return PersistenceIndex(threshold, count, total)
 
 
 def window_filtration(graphs: Mapping[float, ChainComplex]) -> Filtration:
@@ -260,35 +248,41 @@ def window_filtration(graphs: Mapping[float, ChainComplex]) -> Filtration:
 
     Simplices enter at the smallest window containing them; parallel edges
     are matched by (tail, head) multiplicity, which must be non-decreasing.
+    A window whose edge list extends the previous window's is counted by its
+    appended tail alone, and the copies an edge gains at a window share one
+    step object.
     """
     if not graphs:
         return Filtration([])
-    deltas = sorted(graphs)
     sort_key = _cached_sort_key()
     steps: list[FiltrationStep] = []
     seen_vertices: set = set()
-    seen_edge_counts: Counter = Counter()
     seen_triangles: set = set()
-    for delta in deltas:
+    before: tuple = ()  # the previous window's edges
+    for delta in sorted(graphs):
         cx = graphs[delta]
         new_vertices = [v for v in cx.vertices if v not in seen_vertices]
         missing = seen_vertices - set(cx.vertices)
         if missing:
             raise MonotonicityError(f"vertices {sorted(map(str, missing))} vanish at delta={delta}")
-        edge_counts = Counter(cx.edges)
-        shrunk = list(seen_edge_counts - edge_counts)
-        if shrunk:
-            raise MonotonicityError(f"edge {shrunk[0]} multiplicity shrinks at delta={delta}")
+        edges = cx.edges
+        if edges[: len(before)] == before:
+            grown = Counter(edges[len(before):])
+        else:
+            counts, seen = Counter(edges), Counter(before)
+            grown = {e: n - seen[e] for e, n in counts.items() if n > seen[e]}
+            if len(edges) != len(before) + sum(grown.values()):  # a multiplicity fell
+                shrunk = next(e for e, n in seen.items() if counts[e] < n)
+                raise MonotonicityError(f"edge {shrunk} multiplicity shrinks at delta={delta}")
         tri_set = set(cx.triangles)
         if not seen_triangles <= tri_set:
             raise MonotonicityError(f"triangles vanish at delta={delta}")
         for v in new_vertices:
             steps.append(FiltrationStep(delta, "vertex", (v,)))
             seen_vertices.add(v)
-        new_edges = edge_counts - seen_edge_counts
-        for e in sorted(new_edges, key=sort_key):
-            steps.extend(FiltrationStep(delta, "edge", e) for _ in range(new_edges[e]))
-        seen_edge_counts = edge_counts
+        for e in sorted(grown, key=sort_key):
+            steps += [FiltrationStep(delta, "edge", e)] * grown[e]
+        before = edges
         for t in sorted(tri_set - seen_triangles, key=sort_key):
             steps.append(FiltrationStep(delta, "triangle", t))
         seen_triangles = tri_set

@@ -3,13 +3,14 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclos.chaincore import ChainComplex
-from cyclos.errors import CyclosError, FiltrationError, MonotonicityError
+from cyclos.chaincore import ChainComplex, UnionFind, side_edges
+from cyclos.errors import FiltrationError, MonotonicityError
 from cyclos.persist import (
     _DIM_RANK,
     Bar,
@@ -17,8 +18,9 @@ from cyclos.persist import (
     Filtration,
     FiltrationStep,
     compute_barcode,
-    persistence_index,
     window_filtration,
+    _cached_sort_key,
+    _id_sort_key,
     _simplex_sort_key,
 )
 
@@ -79,6 +81,26 @@ class TestFiltrationValidation:
                      id="nan-from-json"),
     ])
     def test_silent_wrong_answers_rejected(self, build):
+        with pytest.raises(FiltrationError):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: FiltrationStep(0.0, "edge", (0,)), id="one-id-edge"),
+        pytest.param(lambda: FiltrationStep(0.0, "vertex", ()), id="no-id-vertex"),
+        pytest.param(lambda: FiltrationStep(0.0, "triangle", (0, 1)), id="two-id-triangle"),
+        pytest.param(lambda: FiltrationStep(0.0, "vertex", 5), id="simplex-not-a-tuple"),
+        pytest.param(lambda: FiltrationStep("a", "vertex", (0,)), id="string-value"),
+        pytest.param(lambda: FiltrationStep(None, "vertex", (0,)), id="none-value"),
+        pytest.param(lambda: FiltrationStep(0.0, "square", (0,)), id="unknown-kind"),
+        pytest.param(lambda: FiltrationStep(0.0, ["edge"], (0, 1)), id="unhashable-kind"),
+        pytest.param(lambda: Filtration([FiltrationStep(0.0, "vertex", ([0],))]),
+                     id="unhashable-vertex-id"),
+        pytest.param(lambda: Filtration([FiltrationStep(0.0, "vertex", (0,)),
+                                         FiltrationStep(1.0, "edge", (0, [0]))]),
+                     id="unhashable-edge-end"),
+        pytest.param(lambda: Filtration([(0.0, "vertex", (0,))]), id="step-not-a-step"),
+    ])
+    def test_malformed_steps_rejected(self, build):
         with pytest.raises(FiltrationError):
             build()
 
@@ -271,43 +293,6 @@ def _random_filtration(rng, with_triangles=False):
     return Filtration(steps)
 
 
-class TestPersistenceIndex:
-    def test_empty(self):
-        idx = persistence_index(Barcode(()), 1.0)
-        assert (idx.long_bar_count, idx.total_persistence) == (0, 0.0)
-
-    def test_arithmetic(self):
-        bars = Barcode((Bar(1, 0.0, 5.0), Bar(1, 1.0, 5.0), Bar(0, 0.0, 0.5)))
-        idx = persistence_index(bars, 1.0)
-        assert idx.long_bar_count == 2
-        assert idx.total_persistence == pytest.approx(9.0)
-
-    def test_infinite_bars_use_cap(self):
-        bars = Barcode((Bar(0, 0.0, INF), Bar(1, 2.0, 3.0)))
-        idx = persistence_index(bars, 0.0, cap=10.0)
-        assert idx.long_bar_count == 2
-        assert idx.total_persistence == pytest.approx(11.0)
-
-    def test_default_cap_is_max_finite_plus_one(self):
-        bars = Barcode((Bar(0, 0.0, INF), Bar(1, 2.0, 3.0)))
-        idx = persistence_index(bars, 0.0)
-        assert idx.total_persistence == pytest.approx(4.0 + 1.0)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(CyclosError):
-            persistence_index(Barcode(()), -0.1)
-
-    def test_few_long_beats_many_short(self):
-        # equal total simplex "mass": 2 long robust bars vs 8 short fragile ones
-        long_bars = Barcode(tuple(Bar(1, 0.0, 10.0) for _ in range(2)))
-        short_bars = Barcode(tuple(Bar(1, float(i), i + 0.5) for i in range(8)))
-        threshold = 1.0
-        strong = persistence_index(long_bars, threshold)
-        weak = persistence_index(short_bars, threshold)
-        assert strong.long_bar_count > weak.long_bar_count
-        assert strong.total_persistence > weak.total_persistence
-
-
 class TestWindowFiltration:
     def test_added_cycle_edge_births_h1(self):
         g1 = ChainComplex([0, 1, 2], [(0, 1), (1, 2)])
@@ -332,3 +317,185 @@ class TestWindowFiltration:
         barcode = compute_barcode(window_filtration(graphs))
         bar = barcode.in_dim(1)[0]
         assert bar.birth == 0.1 and bar.death == INF
+
+
+def reference_window_filtration(graphs):
+    """window_filtration as it was: every window counted whole, shrinking found
+    by a Counter difference, one step object per edge copy."""
+    if not graphs:
+        return Filtration([])
+    deltas = sorted(graphs)
+    sort_key = _cached_sort_key()
+    steps = []
+    seen_vertices = set()
+    seen_edge_counts = Counter()
+    seen_triangles = set()
+    for delta in deltas:
+        cx = graphs[delta]
+        new_vertices = [v for v in cx.vertices if v not in seen_vertices]
+        missing = seen_vertices - set(cx.vertices)
+        if missing:
+            raise MonotonicityError(f"vertices {sorted(map(str, missing))} vanish at delta={delta}")
+        edge_counts = Counter(cx.edges)
+        shrunk = list(seen_edge_counts - edge_counts)
+        if shrunk:
+            raise MonotonicityError(f"edge {shrunk[0]} multiplicity shrinks at delta={delta}")
+        tri_set = set(cx.triangles)
+        if not seen_triangles <= tri_set:
+            raise MonotonicityError(f"triangles vanish at delta={delta}")
+        for v in new_vertices:
+            steps.append(FiltrationStep(delta, "vertex", (v,)))
+            seen_vertices.add(v)
+        new_edges = edge_counts - seen_edge_counts
+        for e in sorted(new_edges, key=sort_key):
+            steps.extend(FiltrationStep(delta, "edge", e) for _ in range(new_edges[e]))
+        seen_edge_counts = edge_counts
+        for t in sorted(tri_set - seen_triangles, key=sort_key):
+            steps.append(FiltrationStep(delta, "triangle", t))
+        seen_triangles = tri_set
+    return Filtration(steps)
+
+
+def reference_compute_barcode(filtration):
+    """compute_barcode as it was, with one Bar per essential H1 class."""
+    uf = UnionFind()
+    vertex_birth = {}
+
+    def elder_order(root):
+        return (vertex_birth[root], _id_sort_key(root))
+
+    bars = []
+    sides = None
+    pos = 0
+    creator_edges = {}
+    low_owner = {}
+    for step in filtration.steps:
+        if step.kind == "vertex":
+            uf.add(step.simplex[0])
+            vertex_birth[step.simplex[0]] = step.value
+        elif step.kind == "edge":
+            tail, head = step.simplex
+            rt, rh = uf.find(tail), uf.find(head)
+            if rt == rh:
+                creator_edges[pos] = step.value
+            else:
+                elder, younger = sorted((rt, rh), key=elder_order)
+                bars.append(Bar(0, vertex_birth[younger], step.value))
+                uf.union(elder, younger)
+            pos += 1
+        else:
+            if sides is None:
+                sides = side_edges([s.simplex for s in filtration.steps if s.kind == "edge"])
+            a, b, c = step.simplex
+            column = set()
+            for side in ((a, b), (b, c), (c, a)):
+                column ^= {sides[side][0]}
+            while column:
+                low = max(column)
+                if low in low_owner:
+                    column ^= low_owner[low]
+                else:
+                    break
+            if column:
+                low = max(column)
+                low_owner[low] = column
+                bars.append(Bar(1, creator_edges.pop(low), step.value))
+    roots = {uf.find(v) for v in uf.parent}
+    for root in sorted(roots, key=elder_order):
+        bars.append(Bar(0, vertex_birth[root], INF))
+    for pos in sorted(creator_edges):
+        bars.append(Bar(1, creator_edges[pos], INF))
+    bars.sort(key=lambda bar: (bar.dim, bar.birth, bar.death))
+    return Barcode(tuple(bars))
+
+
+LADDER_KINDS = ("prefix", "reorder", "shrink")
+
+
+@st.composite
+def edge_ladders(draw, kind):
+    """Nested multigraphs on one vertex set, one per window. Each window adds
+    edges, many of them more copies of earlier ones, some written as fresh
+    tuples. "prefix" windows extend the previous edge list, "reorder" windows
+    shuffle it first, and "shrink" ladders drop earlier copies at one window,
+    among reordered edges and added copies of other edges."""
+    n = draw(st.integers(1, 4))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    windows = draw(st.integers(1, 5))
+    shrink_at = draw(st.integers(1, windows - 1)) if kind == "shrink" and windows > 1 else None
+    edges = []
+    graphs = {}
+    for k in range(windows):
+        added = draw(st.lists(pairs, min_size=int(kind == "shrink" and k == 0), max_size=5))
+        if edges:
+            added += draw(st.lists(st.sampled_from(edges), max_size=5))
+        added = [tuple(list(e)) if draw(st.booleans()) else e for e in added]
+        if kind != "prefix":
+            edges = draw(st.permutations(edges))
+        if k == shrink_at:
+            dropped = [edges.pop(draw(st.integers(0, len(edges) - 1)))
+                       for _ in range(draw(st.integers(1, len(edges))))]
+            added = [e for e in added if e not in dropped]
+        edges = edges + added
+        graphs[0.125 * (k + 1)] = ChainComplex(range(n), edges)
+    return graphs
+
+
+def _steps_or_error(build, graphs):
+    try:
+        filt = build(graphs)
+    except MonotonicityError as exc:
+        return str(exc)
+    return [(s.value, s.kind, s.simplex) for s in filt.steps]
+
+
+@st.composite
+def mixed_value_filtrations(draw):
+    """Graph filtrations whose values mix 1 with 1.0 and 0.0 with -0.0, and
+    whose parallel edges repeat one step object or use equal new ones."""
+    n = draw(st.integers(1, 4))
+    steps = [FiltrationStep(draw(st.sampled_from([0, 0.0, -0.0])), "vertex", (v,))
+             for v in range(n)]
+    for _ in range(draw(st.integers(0, 10))):
+        step = FiltrationStep(draw(st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2.5])), "edge",
+                              (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+        steps += [step] * draw(st.integers(1, 3))
+    return Filtration(draw(st.permutations(steps)))
+
+
+class TestWindowFiltrationOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(LADDER_KINDS).flatmap(
+        lambda kind: st.tuples(st.just(kind), edge_ladders(kind))))
+    def test_matches_reference(self, drawn):
+        kind, graphs = drawn
+        expected = _steps_or_error(reference_window_filtration, graphs)
+        assert _steps_or_error(window_filtration, graphs) == expected
+        # a shrinking ladder always fails, and only a shrinking ladder does
+        assert isinstance(expected, str) == (kind == "shrink" and len(graphs) > 1)
+
+    def test_prefix_ladder_shares_step_objects(self):
+        g1 = ChainComplex([0, 1], [(0, 1)])
+        g2 = ChainComplex([0, 1], list(g1.edges) + [(0, 1), (0, 1), (1, 0)])
+        steps = window_filtration({0.1: g1, 0.2: g2}).steps
+        assert [(s.value, s.simplex) for s in steps[2:]] == [
+            (0.1, (0, 1)), (0.2, (0, 1)), (0.2, (0, 1)), (0.2, (1, 0))]
+        assert steps[3] is steps[4]
+
+
+class TestComputeBarcodeOracle:
+    # repr tells 1 from 1.0 and 0.0 from -0.0, which tuple equality does not
+    @staticmethod
+    def _rows(barcode):
+        return [((b.dim, b.birth, b.death), repr(b)) for b in barcode.bars]
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_ladders("reorder"))
+    def test_ladders_match_reference(self, graphs):
+        filt = window_filtration(graphs)
+        assert self._rows(compute_barcode(filt)) == self._rows(reference_compute_barcode(filt))
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_value_filtrations() | small_filtrations())
+    def test_filtrations_match_reference(self, filt):
+        assert self._rows(compute_barcode(filt)) == self._rows(reference_compute_barcode(filt))
