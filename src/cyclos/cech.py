@@ -49,9 +49,6 @@ class Cover:
             if not u <= ground_set:
                 raise CyclosError(f"open {idx} leaves the ground set")
 
-    def overlap(self, i: int, j: int) -> frozenset:
-        return self.opens[i] & self.opens[j]
-
     def to_json_obj(self) -> dict:
         return {"ground": list(self.ground),
                 "opens": [sorted(u) for u in self.opens]}
@@ -63,16 +60,16 @@ class Cover:
 
 
 def build_nerve(cover: Cover) -> ChainComplex:
-    """Nerve complex: one vertex per open, simplices from nonempty overlaps."""
-    n = len(cover.opens)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if cover.overlap(i, j)]
-    triangles = [
-        (i, j, k)
-        for i in range(n)
-        for j in range(i + 1, n)
-        for k in range(j + 1, n)
-        if cover.opens[i] & cover.opens[j] & cover.opens[k]
-    ]
+    """Nerve complex: one vertex per open, simplices from nonempty overlaps.
+
+    A triangle's sides are nerve edges, so the triangles (i, j, k) of an edge
+    (i, j) are sought only among the later neighbours k of j, in
+    lexicographic order."""
+    opens = cover.opens
+    n = len(opens)
+    later = [[j for j in range(i + 1, n) if not opens[i].isdisjoint(opens[j])] for i in range(n)]
+    edges = [(i, j) for i in range(n) for j in later[i]]
+    triangles = [(i, j, k) for i, j in edges for k in later[j] if opens[i] & opens[j] & opens[k]]
     return ChainComplex(list(range(n)), edges, triangles)
 
 

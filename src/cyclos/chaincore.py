@@ -2,16 +2,18 @@
 
 The complex stores an ordered vertex list, oriented edges (parallel edges
 allowed), and optional oriented triangles. Boundary matrices are built over
-the integers; projections and class reduction run in exact rational
-arithmetic so closure checks (``boundary1(z) == 0``) are matrix-exact, never
-approximate. Fundamental cycles come from root paths in the lexicographic-
-minimum spanning forest. The projection onto cycles solves a vertex-sized
+the integers. Boundaries, projections and class reduction hold a chain as
+integer numerators over the lcm of its denominators and build ``Fraction``s
+once per result, so closure checks (``boundary1(z) == 0``) are exact.
+Fundamental cycles come from root paths in the lexicographic-minimum
+spanning forest. The projection onto cycles solves a vertex-sized
 graph-Laplacian system grounded at the forest roots (Lim, "Hodge Laplacians
 on graphs", SIAM Review 2020), not a system over the cycle basis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,10 +37,9 @@ class Chain1:
             if not is_int(idx):
                 raise MalformedChainError(f"edge index {idx!r} is not an integer")
         with malformed("chain", MalformedChainError):
-            items = tuple(
-                (int(idx), Fraction(val)) for idx, val in sorted(coeffs.items()) if Fraction(val) != 0
-            )
-        return cls(items)
+            items = [(int(idx), val if type(val) is Fraction else Fraction(val))
+                     for idx, val in sorted(coeffs.items())]
+        return cls(tuple((idx, val) for idx, val in items if val))
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.coefficients)
@@ -63,7 +64,7 @@ class Chain1:
         return not self.coefficients
 
     def to_json_obj(self) -> dict[str, str]:
-        return {str(idx): _fraction_to_str(val) for idx, val in self.coefficients}
+        return {str(idx): str(val) for idx, val in self.coefficients}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, str]) -> "Chain1":
@@ -83,10 +84,6 @@ class HomologyClass1:
 
     def __neg__(self) -> "HomologyClass1":
         return HomologyClass1(tuple(-c for c in self.coordinates))
-
-
-def _fraction_to_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 class UnionFind:
@@ -229,7 +226,7 @@ class ChainComplex:
         coordinates, computed on first access.
 
         A cycle's coordinates are its coefficients on the non-tree edges
-        (:func:`_cycle_coordinates`), so each row is a triangle column read
+        (:func:`homology_class`), so each row is a triangle column read
         on those edges.
         """
         if not self.triangles:
@@ -301,16 +298,28 @@ def side_edges(
     return sides
 
 
+def _integer_boundary(chain: Chain1, complex_: ChainComplex):
+    """The chain's (edge, numerator) pairs, its boundary's numerators per
+    vertex (zeros kept, keyed as first touched, head first) and ``den``, the
+    lcm of the chain's denominators, which both are over."""
+    edges = complex_.edges
+    out: dict[VertexId, int] = {}
+    with malformed("chain", MalformedChainError):  # a coefficient that is not rational
+        den = math.lcm(*(c.denominator for _, c in chain.coefficients))
+        numerators = [(idx, c.numerator * (den // c.denominator)) for idx, c in chain.coefficients]
+        for idx, c in numerators:
+            if idx < 0 or idx >= len(edges):
+                raise MalformedChainError(f"edge index {idx} out of range")
+            tail, head = edges[idx]
+            out[head] = out.get(head, 0) + c
+            out[tail] = out.get(tail, 0) - c
+    return numerators, out, den
+
+
 def boundary1(chain: Chain1, complex_: ChainComplex) -> dict[VertexId, Fraction]:
     """Boundary of a 1-chain: sum of coeff * (head - tail) per edge."""
-    out: dict[VertexId, Fraction] = {}
-    for idx, coeff in chain.coefficients:
-        if idx < 0 or idx >= len(complex_.edges):
-            raise MalformedChainError(f"edge index {idx} out of range")
-        tail, head = complex_.edges[idx]
-        out[head] = out.get(head, Fraction(0)) + coeff
-        out[tail] = out.get(tail, Fraction(0)) - coeff
-    return {v: c for v, c in out.items() if c != 0}
+    _, out, den = _integer_boundary(chain, complex_)
+    return {v: Fraction(x, den) for v, x in out.items() if x}
 
 
 def verify_dd_zero(complex_: ChainComplex) -> bool:
@@ -334,9 +343,11 @@ def project_to_cycles(chain: Chain1, complex_: ChainComplex) -> Chain1:
     graph Laplacian (Lim, "Hodge Laplacians on graphs", SIAM Review 2020).
     Each spanning-forest root is grounded at phi = 0, so the system has one
     unknown per non-root vertex and is nonsingular. The output always has
-    zero boundary, and projecting it again returns it unchanged.
+    zero boundary, and projecting it again returns it unchanged. With the
+    chain's numerators ``n`` over ``den`` and ``den * phi = p / d`` for
+    integers ``p``, the output is ``d * n - p[head] + p[tail]`` over ``den * d``.
     """
-    div = boundary1(chain, complex_)
+    numerators, div, den = _integer_boundary(chain, complex_)
     unknowns = {v: i for i, v in enumerate(v for v in complex_.vertices if v in complex_._parents)}
     laplacian = [[0] * len(unknowns) for _ in unknowns]
     for tail, head in complex_.edges:
@@ -344,29 +355,24 @@ def project_to_cycles(chain: Chain1, complex_: ChainComplex) -> Chain1:
         for i, j, sign in ((t, t, 1), (h, h, 1), (t, h, -1), (h, t, -1)):
             if i is not None and j is not None:
                 laplacian[i][j] += sign
-    rhs = [div.get(v, 0) for v in unknowns]
-    phi = dict(zip(unknowns, ratlin.solve_gaussian(laplacian, rhs)))
-    out = chain.as_dict()
-    for j, (tail, head) in enumerate(complex_.edges):
-        out[j] = out.get(j, 0) - phi.get(head, 0) + phi.get(tail, 0)
-    return Chain1.from_dict(out)
-
-
-def _cycle_coordinates(chain: Chain1, complex_: ChainComplex) -> list[Fraction]:
-    """Coordinates in the fundamental-cycle basis.
-
-    Each fundamental cycle carries exactly one non-tree edge, so a cycle's
-    coordinates are its coefficients on the non-tree edges.
-    """
-    lookup = chain.as_dict()
-    return [lookup.get(j, Fraction(0)) for j in complex_._nontree_edges]
+    phi = ratlin.solve_gaussian(laplacian, [div.get(v, 0) for v in unknowns])
+    d = math.lcm(*(x.denominator for x in phi))
+    p = {v: x.numerator * (d // x.denominator) for v, x in zip(unknowns, phi)}
+    out = [p.get(tail, 0) - p.get(head, 0) for tail, head in complex_.edges]
+    for idx, n in numerators:
+        out[idx] += d * n
+    return Chain1(tuple((j, Fraction(x, den * d)) for j, x in enumerate(out) if x))
 
 
 def homology_class(cycle: Chain1, complex_: ChainComplex) -> HomologyClass1:
-    bnd = boundary1(cycle, complex_)
-    if bnd:
-        raise ClosureError(f"chain is not a cycle; boundary supported on {sorted(map(str, bnd))}")
-    coords = _cycle_coordinates(cycle, complex_)
+    """Class of a cycle. Each fundamental cycle carries exactly one non-tree
+    edge, so the cycle's basis coordinates are its non-tree coefficients."""
+    _, bnd, _ = _integer_boundary(cycle, complex_)
+    if any(bnd.values()):
+        support = sorted(str(v) for v, x in bnd.items() if x)
+        raise ClosureError(f"chain is not a cycle; boundary supported on {support}")
+    lookup = cycle.as_dict()
+    coords = [lookup.get(j, 0) for j in complex_._nontree_edges]
     return HomologyClass1(tuple(ratlin.reduce_mod_rows(coords, *complex_._boundary2_reducer)))
 
 

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from . import chaincore
 from .chaincore import Chain1, ChainComplex, HomologyClass1
-from .errors import CyclosError, PreconditionError, WindowError, is_int, malformed
+from .errors import CyclosError, PreconditionError, WindowError, is_finite, is_int, malformed
 from .persist import Barcode, compute_barcode, window_filtration
 from .phasecode import TWO_PI, Oscillator, wrap_time
 
@@ -90,6 +90,8 @@ def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int
     `cap` pairs are kept per (i, j); the rest are counted in the overflow,
     keyed in the order of each pair's first overflow.
     """
+    if not (is_int(cap) and cap >= 1):
+        raise PreconditionError(f"multiplicity cap must be a positive integer, got {cap!r}")
     neurons = [neuron for neuron, _ in train.spikes]
     times = [t for _, t in train.spikes]
     phases = [wrap_time(t, osc) for t in times]
@@ -236,8 +238,8 @@ def trial_invariance(
     parallel edges); the report flags pairs whose multiplicities differ across
     trials, since the matching of parallels is then a convention.
     """
-    if epsilon >= window.delta:
-        raise PreconditionError(f"epsilon {epsilon} must be below the window {window.delta}")
+    if not (is_finite(epsilon) and 0 <= epsilon < window.delta):
+        raise PreconditionError(f"epsilon {epsilon!r} must lie in [0, {window.delta})")
     if not trials:
         raise PreconditionError("need at least one trial")
     neuron_counts = {t.neurons for t in trials}

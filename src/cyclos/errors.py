@@ -16,8 +16,7 @@ class CyclosError(ValueError):
 
 @contextmanager
 def malformed(what: str, error: type[CyclosError] = CyclosError):
-    """Re-raise a missing key, wrong shape or type, or unparsable number
-    inside the block as ``error``; CyclosErrors pass through unchanged."""
+    """Re-raise a bad key, shape, type or number in the block as ``error``; CyclosErrors pass."""
     try:
         yield
     except CyclosError:
@@ -28,12 +27,13 @@ def malformed(what: str, error: type[CyclosError] = CyclosError):
 
 def is_int(x) -> bool:
     """True for integers, including numpy's, but not for bools."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def is_finite(x) -> bool:
     """True for finite real numbers, including numpy's, but not for bools."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    real = type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)
+    return real and math.isfinite(x)
 
 
 class MalformedChainError(CyclosError):

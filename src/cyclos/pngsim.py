@@ -15,11 +15,12 @@ clamped to [0, w_max] (Izhikevich, "Polychronization: computation with
 spikes", Neural Comput. 2006).
 
 Buffer-order invariant: stimulus times, delays and the horizon are checked
-finite (a NaN would break the total order), and events pop in nondecreasing
-time, because each arrival lands a positive delay after the spike that sends
-it. Each neuron's window buffer is therefore sorted by arrival time, so
-expiring it from the left drops exactly the arrivals older than `delta`, and
-its weights are summed oldest first.
+finite (a NaN would break the total order), and each arrival lands a positive
+delay after the spike that sends it, also after rounding (checked), so events
+pop in increasing (time, neuron, synapse) order and the log is appended in
+(time, neuron) order. Each neuron's window buffer is therefore sorted by
+arrival time, so expiring it from the left drops exactly the arrivals older
+than `delta`, and its weights are summed oldest first.
 """
 
 from __future__ import annotations
@@ -193,6 +194,11 @@ def simulate(
             raise ConfigError(f"stimulus time must be finite, got {t!r}")
         heappush(heap, (float(t), neuron, _STIMULUS, seq))
         seq += 1
+    # event times lie between the earliest stimulus and the horizon; a delay of
+    # more than half an ulp there lands each arrival strictly after its spike
+    reach = max(abs(heap[0][0]), horizon) if heap else 0.0
+    if delays and min(delays) <= math.ulp(reach) / 2:
+        raise ConfigError(f"delay {min(delays)} vanishes in rounding at time {reach}")
 
     while heap:
         t, neuron, syn_idx, _ = heappop(heap)
@@ -261,7 +267,6 @@ def simulate(
                 heappush(heap, (arrival_t, posts[syn_out], syn_out, seq))
                 seq += 1
 
-    records.sort(key=lambda r: (r[0], r[1]))
     return EventLog(tuple(records), tuple(weights), horizon, seed)
 
 

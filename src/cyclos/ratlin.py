@@ -3,10 +3,12 @@
 Matrices are lists of rows of :class:`~fractions.Fraction`. Everything here
 is deterministic: pivots are always chosen at the lowest row/column index, so
 reduced forms (and hence canonical representatives) are reproducible.
-:func:`rref` and :func:`reduce_mod_rows` work in integers and build
-``Fraction``s once, for their results; the RREF of a rational matrix and the
-reduction of a vector modulo it are unique, so they are what ``Fraction``
-arithmetic gives.
+The arithmetic runs in integers: each row is scaled by the lcm of its
+denominators (plain ints are used as they are), :func:`rref` and
+:func:`solve_gaussian` share one fraction-free elimination, and
+``Fraction``s are built once, for the results. The RREF of a rational
+matrix, the solution of a nonsingular system and the reduction of a vector
+modulo RREF rows are unique, so they are what ``Fraction`` arithmetic gives.
 """
 
 from __future__ import annotations
@@ -19,16 +21,12 @@ Row = list[Fraction]
 Matrix = list[Row]
 
 
-def zeros(n_rows: int, n_cols: int) -> Matrix:
-    return [[Fraction(0)] * n_cols for _ in range(n_rows)]
-
-
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a[0])} columns vs {len(b)} rows")
     n_inner = len(b)
     n_cols = len(b[0]) if b else 0
-    out = zeros(len(a), n_cols)
+    out = [[Fraction(0)] * n_cols for _ in a]
     for i, row in enumerate(a):
         for k in range(n_inner):
             aik = row[k]
@@ -41,31 +39,25 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     return out
 
 
-def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form with lowest-index pivoting.
+def _integers(row: Sequence) -> tuple[list[int], int]:
+    """``row`` as integer numerators over the lcm of its denominators."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    q = [x if type(x) is Fraction else Fraction(x) for x in row]
+    den = math.lcm(*(x.denominator for x in q))
+    return [x.numerator * (den // x.denominator) for x in q], den
 
-    Returns the reduced matrix, all ``len(a)`` rows with the zero rows after
-    the pivot rows, and the list of pivot column indices.
 
-    Fraction-free Gauss-Jordan (Bareiss, "Sylvester's identity and multistep
-    integer-preserving Gaussian elimination", Math. Comp. 1968): each row is
-    scaled to integers by the lcm of its denominators, which changes neither
-    its span nor its zero entries, so pivots and swaps are those of a
-    ``Fraction`` elimination. A row is eliminated by integer
-    cross-multiplication and then divided by the gcd of its entries, which
-    keeps its integers small. Pivot rows are divided by their pivots once,
-    at the end.
-    """
-    m = []
-    for row in a:
-        q = [Fraction(x) for x in row]
-        scale = math.lcm(*(x.denominator for x in q))
-        m.append([x.numerator * (scale // x.denominator) for x in q])
+def _eliminate(m: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place (Bareiss, Math.
+    Comp. 1968); returns the pivot columns. Scaling keeps a row's span and zero
+    entries, so the pivots are those of a ``Fraction`` elimination. A row is
+    eliminated by cross-multiplication and divided by the gcd of its entries;
+    pivot row ``i`` divided by its pivot is RREF row ``i``."""
     n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
     pivots: list[int] = []
     r = 0
-    for c in range(n_cols):
+    for c in range(len(m[0]) if m else 0):
         pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot_row is None:
             continue
@@ -82,20 +74,28 @@ def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
         r += 1
         if r == n_rows:
             break
+    return pivots
+
+
+def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form with lowest-index pivoting: the reduced matrix,
+    all ``len(a)`` rows with the zero rows last, and the pivot column indices."""
+    m = [_integers(row)[0] for row in a]
+    pivots = _eliminate(m)
     zero = Fraction(0)
     reduced = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
-    reduced += [[zero] * n_cols for _ in range(n_rows - r)]
+    reduced += [[zero] * len(row) for row in m[len(pivots):]]
     return reduced, pivots
 
 
 def solve_gaussian(a: Sequence[Sequence], b: Sequence) -> Row:
     """Solve a square nonsingular system exactly."""
     n = len(a)
-    aug = [[*row, b[i]] for i, row in enumerate(a)]
-    reduced, pivots = rref(aug)
+    m = [_integers([*row, b[i]])[0] for i, row in enumerate(a)]
+    pivots = _eliminate(m)
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("singular or inconsistent system")
-    return [reduced[i][n] for i in range(n)]
+    return [Fraction(row[n], row[i]) for i, row in enumerate(m)]
 
 
 def reduce_mod_rows(v: Sequence, rows: Sequence[Sequence], pivots: Sequence[int]) -> Row:
@@ -105,25 +105,18 @@ def reduce_mod_rows(v: Sequence, rows: Sequence[Sequence], pivots: Sequence[int]
     two vectors congruent mod the span iff their reductions are equal. An RREF
     row is zero on every other pivot column, so the coefficients are ``v``'s
     own pivot coordinates, and ``v`` is returned as ``Fraction``s when they are
-    all zero.
-
-    Otherwise ``v`` is held as integer numerators over one common denominator.
-    Subtracting ``c / den`` times a row whose denominators have lcm ``d``
-    scales the numerators by ``d``, subtracts ``c`` times the integer row and
-    multiplies the denominator by ``d``; the gcd of the denominator and the
-    numerators is then divided out. The ``Fraction``s are built once, at the
-    end.
+    all zero. Otherwise ``v`` is held as integer numerators over ``den``, and
+    subtracting ``c / den`` times a row of integers over ``d`` multiplies
+    ``den`` by ``d``; the gcd of ``den`` and the numerators is divided out.
     """
-    out = [Fraction(x) for x in v]
-    if not any(out[pc] for pc in pivots):
-        return out
-    den = math.lcm(*(x.denominator for x in out))
-    num = [x.numerator * (den // x.denominator) for x in out]
+    if not any(v[pc] for pc in pivots):
+        return [x if type(x) is Fraction else Fraction(x) for x in v]
+    num, den = _integers(v)
     for row, pc in zip(rows, pivots):
         c = num[pc]
         if c:
-            d = math.lcm(*(y.denominator for y in row))
-            num = [d * x - c * (y.numerator * (d // y.denominator)) for x, y in zip(num, row)]
+            row, d = _integers(row)
+            num = [d * x - c * y for x, y in zip(num, row)]
             den *= d
             g = math.gcd(den, *num)
             if g > 1:

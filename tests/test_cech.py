@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclos import chaincore
 from cyclos.cech import (
@@ -72,6 +72,33 @@ def test_arc_nerve_is_an_annulus():
     nerve = build_nerve(arc_cover(7))
     assert (len(nerve.edges), len(nerve.triangles)) == (14, 7)
     assert chaincore.betti(nerve, 0) == chaincore.betti(nerve, 1) == 1
+
+
+def reference_nerve_simplices(cover):
+    """Edges and triangles of the nerve by testing every pair and triple."""
+    opens, n = cover.opens, len(cover.opens)
+    edges = [(i, j) for i, j in itertools.combinations(range(n), 2) if opens[i] & opens[j]]
+    triangles = [(i, j, k) for i, j, k in itertools.combinations(range(n), 3)
+                 if opens[i] & opens[j] & opens[k]]
+    return edges, triangles
+
+
+@st.composite
+def small_covers(draw):
+    """Up to 9 opens on up to 6 points: repeated opens, and triples that
+    overlap pairwise but share no point."""
+    points = draw(st.integers(1, 6))
+    opens = draw(st.lists(st.sets(st.integers(0, points - 1), min_size=1),
+                          min_size=1, max_size=9))
+    return Cover(range(points), opens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_covers())
+@example(Cover(range(3), [{0, 1}, {1, 2}, {0, 2}]))  # a hollow triangle
+def test_nerve_matches_the_triple_loop(cover):
+    nerve = build_nerve(cover)
+    assert (list(nerve.edges), list(nerve.triangles)) == reference_nerve_simplices(cover)
 
 
 @settings(max_examples=50, deadline=None)

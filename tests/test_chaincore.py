@@ -92,6 +92,16 @@ def reference_boundary2(edges, triangles):
     return mat
 
 
+def reference_boundary1(chain, cx):
+    """The ``Fraction`` loop ``boundary1`` replaced: two additions per edge."""
+    out = {}
+    for idx, coeff in chain.coefficients:
+        tail, head = cx.edges[idx]
+        out[head] = out.get(head, Fraction(0)) + coeff
+        out[tail] = out.get(tail, Fraction(0)) - coeff
+    return {v: c for v, c in out.items() if c != 0}
+
+
 def reference_project_to_cycles(chain, cx):
     """Projection by the cycle-basis normal equations (B^T B) x = B^T c, then
     B x, solved by the test-local ``Fraction`` elimination."""
@@ -144,6 +154,15 @@ class TestBoundary1:
     def test_bad_index_rejected(self):
         with pytest.raises(MalformedChainError):
             chaincore.boundary1(Chain1.from_dict({7: 1}), triangle_complex())
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraph_chains())
+    def test_matches_fraction_loop(self, case):
+        # same values in the same vertex order, and every value a Fraction
+        cx, chain = case
+        got = chaincore.boundary1(chain, cx)
+        assert list(got.items()) == list(reference_boundary1(chain, cx).items())
+        assert all(type(c) is Fraction for c in got.values())
 
 
 class TestDDZero:
@@ -319,6 +338,7 @@ class TestProjectionOracle:
         cx, chain = case
         got = chaincore.project_to_cycles(chain, cx)
         assert got.coefficients == reference_project_to_cycles(chain, cx).coefficients
+        assert all(type(c) is Fraction for _, c in got.coefficients)
 
     @settings(max_examples=300, deadline=None)
     @given(multigraph_chains())
@@ -439,6 +459,13 @@ class TestJsonRoundTrip:
         cx = triangle_complex(filled=True)
         again = ChainComplex.from_json_obj(cx.to_json_obj())
         assert again.edges == cx.edges and again.triangles == cx.triangles
+
+    def test_from_dict_keeps_fractions_and_converts_the_rest(self):
+        third = Fraction(1, 3)
+        chain = Chain1.from_dict({2: third, 0: 2, 1: 0.5, 3: 0})
+        assert chain.coefficients == ((0, 2), (1, Fraction(1, 2)), (2, third))
+        assert chain.coefficients[2][1] is third
+        assert all(type(c) is Fraction for _, c in chain.coefficients)
 
     def test_numpy_integer_indices(self):
         assert Chain1.from_dict({np.int64(2): 1, np.int32(0): 3}) == Chain1.from_dict({0: 3, 2: 1})

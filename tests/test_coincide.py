@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cyclos import chaincore, coincide
 from cyclos.chaincore import Chain1, ChainComplex
 from cyclos.coincide import CoincidenceWindow, SpikeTrain
-from cyclos.errors import PreconditionError, WindowError
+from cyclos.errors import MalformedChainError, PreconditionError, WindowError
 from cyclos.persist import compute_barcode, window_filtration
 from cyclos.phasecode import Oscillator, circular_distance, wrap_time
 
@@ -193,6 +193,49 @@ class TestTrialInvariance:
             for e in [rev.graph.edges[idx]]
         })
         assert chaincore.homology_class(mapped, result.graph) == -result.cls
+
+
+WINDOW = CoincidenceWindow(0.35)
+TRIANGLE = ChainComplex([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("call, error", [
+        pytest.param(lambda: coincide.trial_invariance([cyclic_train()], OSC, WINDOW, math.nan),
+                     PreconditionError, id="epsilon-nan"),
+        pytest.param(lambda: coincide.trial_invariance([cyclic_train()], OSC, WINDOW, -1.0),
+                     PreconditionError, id="epsilon-negative"),
+        pytest.param(lambda: coincide.trial_invariance([cyclic_train()], OSC, WINDOW, -math.inf),
+                     PreconditionError, id="epsilon-minus-inf"),
+        pytest.param(lambda: coincide.closed_part(cyclic_train(), OSC, WINDOW, 0),
+                     PreconditionError, id="closed-part-cap-zero"),
+        pytest.param(lambda: coincide.closed_part(cyclic_train(), OSC, WINDOW, -1),
+                     PreconditionError, id="closed-part-cap-negative"),
+        pytest.param(lambda: coincide.closed_part(cyclic_train(), OSC, WINDOW, 2.5),
+                     PreconditionError, id="closed-part-cap-fractional"),
+        pytest.param(lambda: coincide.closed_part(cyclic_train(), OSC, WINDOW, True),
+                     PreconditionError, id="closed-part-cap-bool"),
+        pytest.param(lambda: coincide.build_coincidence_graph(cyclic_train(), OSC, WINDOW, 0),
+                     PreconditionError, id="graph-cap-zero"),
+        pytest.param(lambda: coincide.trial_invariance([cyclic_train()], OSC, WINDOW, 0.05, 2.5),
+                     PreconditionError, id="trial-cap-fractional"),
+        pytest.param(lambda: coincide.coincidence_persistence(cyclic_train(), OSC, [0.2, 0.35],
+                                                              True),
+                     PreconditionError, id="persistence-cap-bool"),
+        pytest.param(lambda: chaincore.boundary1(Chain1(((0, "1"),)), TRIANGLE),
+                     MalformedChainError, id="boundary-str-coefficient"),
+        pytest.param(lambda: chaincore.boundary1(Chain1(((0, None),)), TRIANGLE),
+                     MalformedChainError, id="boundary-none-coefficient"),
+        pytest.param(lambda: chaincore.boundary1(Chain1(((0, 0.5),)), TRIANGLE),
+                     MalformedChainError, id="boundary-float-coefficient"),
+        pytest.param(lambda: chaincore.project_to_cycles(Chain1(((0, "1"),)), TRIANGLE),
+                     MalformedChainError, id="projection-str-coefficient"),
+        pytest.param(lambda: chaincore.homology_class(Chain1(((0, None),)), TRIANGLE),
+                     MalformedChainError, id="class-none-coefficient"),
+    ])
+    def test_rejected(self, call, error):
+        with pytest.raises(error):
+            call()
 
 
 class TestCoincidencePersistence:

@@ -1,0 +1,40 @@
+"""The shared input checks in ``cyclos.errors`` against their plain ABC definitions."""
+
+import math
+import numbers
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from cyclos.errors import is_finite, is_int
+
+
+def reference_is_int(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def reference_is_finite(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+@pytest.mark.parametrize("x, integer, finite", [
+    pytest.param(3, True, True, id="int"),
+    pytest.param(-(2**70), True, True, id="big-int"),
+    pytest.param(True, False, False, id="bool"),
+    pytest.param(np.int64(3), True, True, id="numpy-int64"),
+    pytest.param(np.bool_(True), False, False, id="numpy-bool"),
+    pytest.param(2.5, False, True, id="float"),
+    pytest.param(math.nan, False, False, id="nan"),
+    pytest.param(math.inf, False, False, id="inf"),
+    pytest.param(-math.inf, False, False, id="minus-inf"),
+    pytest.param(np.float64(2.5), False, True, id="numpy-float64"),
+    pytest.param(Fraction(1, 3), False, True, id="fraction"),
+    pytest.param(Decimal("1.5"), False, False, id="decimal"),
+    pytest.param("3", False, False, id="str"),
+    pytest.param(None, False, False, id="none"),
+])
+def test_checks_match_their_abc_definitions(x, integer, finite):
+    assert is_int(x) is reference_is_int(x) is integer
+    assert is_finite(x) is reference_is_finite(x) is finite

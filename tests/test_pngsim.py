@@ -60,6 +60,17 @@ class TestSimulate:
         log = pngsim.simulate(net, [(0, 0.0), (0, 2.0), (0, 6.0)], horizon=10.0)
         assert [t for t, _, _ in log.records] == [0.0, 6.0]
 
+    def test_delay_lost_in_rounding_is_rejected(self):
+        # at 1e17 ms a 1 ms delay rounds away, so the arrival would land at the
+        # time of the spike that sends it
+        net = DelayNetwork(2, (Synapse(1, 0, 1.0, 1.0),), delta=1.0, k=1, threshold=0.5)
+        with pytest.raises(ConfigError):
+            pngsim.simulate(net, [(1, 1e17)], 2e17)
+        with pytest.raises(ConfigError):
+            pngsim.simulate(net, [(1, -1e17)], 1.0)
+        assert pngsim.simulate(net, [(1, 1e12)], 2e12).records == (
+            (1e12, 1, "stim"), (1e12 + 1.0, 0, "spike"))
+
     def test_determinism(self):
         net = ring_network([10.0, 12.0, 14.0])
         rng = random.Random(0)
@@ -433,3 +444,11 @@ class TestSimulateOracle:
         want = reference_simulate(net, stimuli, horizon, stdp)
         assert got.records == want.records
         assert list(map(float.hex, got.final_weights)) == list(map(float.hex, want.final_weights))
+
+    @settings(max_examples=200, deadline=None)
+    @given(networks_and_stimuli())
+    def test_log_is_appended_in_time_and_neuron_order(self, case):
+        # simulate does not sort its log: events pop from the heap in this order
+        net, stimuli, horizon, stdp = case
+        records = pngsim.simulate(net, stimuli, horizon, stdp).records
+        assert list(records) == sorted(records, key=lambda r: (r[0], r[1]))
