@@ -28,7 +28,7 @@ from . import ratlin
 from .chaincore import ChainComplex, homology_basis_cycles
 from .errors import ClosureError, CyclosError, PreconditionError, is_int, malformed
 
-TOL = 1e-9
+TOL = 1e-9  # gluing, colimit, naturality and closedness residuals must stay below it
 
 Edge = tuple[int, int]
 
@@ -177,7 +177,7 @@ class GlobalSection:
     sections: tuple[np.ndarray, ...]
 
 
-def glue_sections(sheaf: SheafData, cover: Cover, tol: float = TOL):
+def glue_sections(sheaf: SheafData, cover: Cover):
     """Assemble the global section, or report the violating overlaps."""
     nerve = build_nerve(cover)
     mismatches = []
@@ -185,7 +185,7 @@ def glue_sections(sheaf: SheafData, cover: Cover, tol: float = TOL):
         from_i, from_j = _edge_data(sheaf.restrictions, (i, j), "restriction")
         residual = from_i @ sheaf.sections[i] - from_j @ sheaf.sections[j]
         norm = float(np.max(np.abs(residual))) if residual.size else 0.0
-        if norm >= tol:
+        if norm >= TOL:
             mismatches.append(((i, j), norm))
     if mismatches:
         return Obstruction("gluing", tuple(mismatches))
@@ -219,7 +219,7 @@ def _colimit_reducer(cosheaf: CosheafData, nerve: ChainComplex):
     return offsets, total, reduced[: len(pivots)], pivots
 
 
-def cosheaf_colimit(cosheaf: CosheafData, cover: Cover, tol: float = TOL):
+def cosheaf_colimit(cosheaf: CosheafData, cover: Cover):
     """Common colimit class of the co-sections, or the deadlock report.
 
     Every open's co-section is injected into the direct sum and reduced
@@ -242,7 +242,7 @@ def cosheaf_colimit(cosheaf: CosheafData, cover: Cover, tol: float = TOL):
             norm = 0.0 if reduced[i] == reduced[j] else max(
                 (abs(a - b) for a, b in zip(reduced[i], reduced[j])), default=0.0
             )
-            if norm >= tol:
+            if norm >= TOL:
                 mismatches.append(((i, j), norm))
     if mismatches:
         return Obstruction("colimit", tuple(mismatches))
@@ -254,7 +254,6 @@ def check_naturality(
     cosheaf: CosheafData,
     pairing: Pairing,
     nerve: ChainComplex,
-    tol: float = TOL,
 ) -> list[tuple]:
     """Residuals of rho^T M_overlap = M_open iota on every edge endpoint."""
     violations = []
@@ -265,7 +264,7 @@ def check_naturality(
         for endpoint, rho, iota in ((i, rho_i, iota_i), (j, rho_j, iota_j)):
             residual = rho.T @ m_edge - pairing.open_forms[endpoint] @ iota
             norm = float(np.max(np.abs(residual))) if residual.size else 0.0
-            if norm >= tol:
+            if norm >= TOL:
                 violations.append(((i, j), endpoint, norm))
     return violations
 
@@ -304,27 +303,23 @@ def pairing_cocycle(
     cosheaf: CosheafData,
     pairing: Pairing,
     nerve: ChainComplex,
-    enforce_naturality: bool = True,
-    tol: float = TOL,
 ) -> CocycleResult:
     """Edge cochain omega_ij = <s_i, g_j> - <s_j, g_i> plus its coboundary.
 
-    Nondegeneracy of the overlap forms is validated as matrix rank; the
-    naturality precondition is validated unless explicitly suppressed for
-    diagnostics.
+    Nondegeneracy of the overlap forms is validated as matrix rank, and
+    naturality by :func:`check_naturality`.
     """
     for (i, j) in nerve.edges:
         m_edge = _edge_data(pairing.overlap_forms, (i, j), "overlap form")
         if m_edge.size and np.linalg.matrix_rank(m_edge) < min(m_edge.shape):
             raise PreconditionError(f"overlap pairing on {(i, j)} is degenerate")
-    if enforce_naturality:
-        violations = check_naturality(sheaf, cosheaf, pairing, nerve, tol)
-        if violations:
-            edge, endpoint, norm = violations[0]
-            raise PreconditionError(
-                f"pairing not natural on edge {edge} at open {endpoint} "
-                f"(residual {norm:.3g}); {len(violations)} violation(s) total"
-            )
+    violations = check_naturality(sheaf, cosheaf, pairing, nerve)
+    if violations:
+        edge, endpoint, norm = violations[0]
+        raise PreconditionError(
+            f"pairing not natural on edge {edge} at open {endpoint} "
+            f"(residual {norm:.3g}); {len(violations)} violation(s) total"
+        )
     omega = {}
     for (i, j) in nerve.edges:
         rho_i, rho_j = _edge_data(sheaf.restrictions, (i, j), "restriction")
@@ -346,18 +341,14 @@ class CocycleClass:
 
     coordinates: tuple[float, ...]
 
-    def is_zero(self, tol: float = TOL) -> bool:
-        return all(abs(c) < tol for c in self.coordinates)
+    def is_zero(self) -> bool:
+        return all(abs(c) < TOL for c in self.coordinates)
 
 
-def cocycle_class(
-    omega: Mapping[Edge, float],
-    nerve: ChainComplex,
-    tol: float = TOL,
-) -> CocycleClass:
+def cocycle_class(omega: Mapping[Edge, float], nerve: ChainComplex) -> CocycleClass:
     """Class coordinates of a closed cochain: its integrals over basis cycles.
 
-    Closed cochains evaluate equally on homologous cycles, so the vector of
+    Closed cochains evaluate equally on cycles of one class, so the vector of
     evaluations against the canonical cycle basis is a complete coordinate
     of the cohomology class.
     """
@@ -376,7 +367,7 @@ def cocycle_class(
             - values[edge_index[(a, c)]]
             + values[edge_index[(a, b)]]
         )
-        if abs(residual) >= tol:
+        if abs(residual) >= TOL:
             raise ClosureError(
                 f"cochain is not closed on triangle {(a, b, c)} (residual {residual:.3g})"
             )

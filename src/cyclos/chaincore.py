@@ -115,10 +115,8 @@ class ChainComplex:
     """Vertices, oriented edges, optional triangles, and boundary matrices.
 
     Immutable after construction. Boundary matrices are derived from the
-    simplex lists; ``boundary2`` may be overridden for diagnostics. That is
-    the only way to build a complex violating d(d(.)) = 0, which
-    :func:`verify_dd_zero` then reports and which ``betti(1)`` and the
-    homology classes assume.
+    simplex lists, and :func:`side_edges` makes every triangle column a
+    cycle, so d(d(.)) = 0 holds by construction.
     """
 
     def __init__(
@@ -126,10 +124,8 @@ class ChainComplex:
         vertices: Sequence[VertexId],
         edges: Sequence[tuple[VertexId, VertexId]] = (),
         triangles: Sequence[tuple[VertexId, VertexId, VertexId]] = (),
-        *,
-        boundary2_override: Sequence[Sequence[int]] | None = None,
     ):
-        with malformed("simplex list"):  # unhashable ids, wrong lengths, bad override
+        with malformed("simplex list"):  # unhashable ids, wrong lengths
             self.vertices = tuple(vertices)
             self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
             if len(self._vertex_index) != len(self.vertices):
@@ -143,14 +139,7 @@ class ChainComplex:
                 for tail, head in self.edges:
                     if tail not in self._vertex_index or head not in self._vertex_index:
                         raise CyclosError(f"edge ({tail!r}, {head!r}) references unknown vertex")
-
-            if boundary2_override is not None:
-                self.boundary2 = [list(map(int, row)) for row in boundary2_override]
-                if len(self.boundary2) != len(self.edges) or any(
-                    len(row) != len(self.triangles) for row in self.boundary2
-                ):
-                    raise CyclosError("boundary2 override must be edges x triangles")
-            elif self.triangles:
+            if self.triangles:
                 self.boundary2  # resolve every triangle side now, so a bad one fails here
 
     # -- construction helpers -------------------------------------------------
@@ -322,20 +311,6 @@ def boundary1(chain: Chain1, complex_: ChainComplex) -> dict[VertexId, Fraction]
     return {v: Fraction(x, den) for v, x in out.items() if x}
 
 
-def verify_dd_zero(complex_: ChainComplex) -> bool:
-    """True iff boundary1 . boundary2 is zero: every triangle column is a cycle."""
-    return not any(
-        boundary1(Chain1.from_dict({j: row[t] for j, row in enumerate(complex_.boundary2)}),
-                  complex_)
-        for t in range(len(complex_.triangles))
-    )
-
-
-def cycle_space_basis(complex_: ChainComplex) -> list[Chain1]:
-    """Fundamental cycles of the lexicographic-minimum spanning forest."""
-    return [complex_.fundamental_cycle(j) for j in complex_._nontree_edges]
-
-
 def project_to_cycles(chain: Chain1, complex_: ChainComplex) -> Chain1:
     """Orthogonal projection onto ker(boundary1), exact rationals.
 
@@ -376,10 +351,6 @@ def homology_class(cycle: Chain1, complex_: ChainComplex) -> HomologyClass1:
     return HomologyClass1(tuple(ratlin.reduce_mod_rows(coords, *complex_._boundary2_reducer)))
 
 
-def homologous(z1: Chain1, z2: Chain1, complex_: ChainComplex) -> bool:
-    return homology_class(z1, complex_) == homology_class(z2, complex_)
-
-
 def homology_basis_cycles(complex_: ChainComplex) -> list[Chain1]:
     """Cycles whose classes form a basis of H1 over the rationals."""
     pivot_set = set(complex_._boundary2_reducer[1])
@@ -394,8 +365,8 @@ def betti(complex_: ChainComplex, dim: int) -> int:
     """Betti number in dimension 0 or 1.
 
     ``betti(1)`` is the cycle rank minus the rank of boundary2 in cycle
-    coordinates, which equals rank(ker boundary1) - rank(boundary2) only when
-    d(d(.)) = 0; a diagnostic ``boundary2_override`` can break that.
+    coordinates, which is rank(ker boundary1) - rank(boundary2) because
+    d(d(.)) = 0.
     """
     if dim == 0:
         return complex_.n_components()

@@ -173,16 +173,6 @@ def _phase_run(phases: Sequence[float], center: float, limit: float):
     return None
 
 
-def build_coincidence_graph(
-    train: SpikeTrain,
-    osc: Oscillator,
-    window: CoincidenceWindow,
-    multiplicity_cap: int = DEFAULT_MULTIPLICITY_CAP,
-) -> ChainComplex:
-    kept, _ = _coincident_pairs(train, osc, window.delta, multiplicity_cap)
-    return ChainComplex(list(range(train.neurons)), [(i, j) for i, j, *_ in kept])
-
-
 def closed_part(
     train: SpikeTrain,
     osc: Oscillator,
@@ -232,7 +222,7 @@ def trial_invariance(
     epsilon: float,
     multiplicity_cap: int = DEFAULT_MULTIPLICITY_CAP,
 ) -> tuple[bool, dict]:
-    """Check that all trials' closed parts are homologous.
+    """Check that all trials' closed parts lie in one homology class.
 
     Cross-trial edges are matched by neuron ids (and by occurrence order for
     parallel edges); the report flags pairs whose multiplicities differ across

@@ -30,10 +30,14 @@ def is_int(x) -> bool:
     return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def is_real(x) -> bool:
+    """True for real numbers, NaN and infinities included, and numpy's, but not for bools."""
+    return type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def is_finite(x) -> bool:
     """True for finite real numbers, including numpy's, but not for bools."""
-    real = type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)
-    return real and math.isfinite(x)
+    return is_real(x) and math.isfinite(x)
 
 
 class MalformedChainError(CyclosError):

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NoPeakError, PreconditionError, TableError, is_finite
+from .errors import ConfigError, NoPeakError, PreconditionError, TableError, is_finite, is_int
 from .persist import Barcode, Filtration, FiltrationStep, compute_barcode
 
 GAZE_CLOSURE_TOL = 1e-9
@@ -56,9 +56,9 @@ class GazeTransform:
         tx, ty = self.translation
         return GazeTransform(-self.rotation, (-(c * tx + s * ty), -(-s * tx + c * ty)))
 
-    def is_identity(self, tol: float = GAZE_CLOSURE_TOL) -> bool:
+    def is_identity(self) -> bool:
         rot = (self.rotation + math.pi) % (2 * math.pi) - math.pi
-        return abs(rot) <= tol and math.hypot(*self.translation) <= tol
+        return abs(rot) <= GAZE_CLOSURE_TOL and math.hypot(*self.translation) <= GAZE_CLOSURE_TOL
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,8 @@ class AccumulatorConfig:
         xmin, xmax, ymin, ymax = self.extent
         if not all(is_finite(v) for v in self.extent):
             raise ConfigError(f"accumulator extent must be finite, got {self.extent!r}")
+        if not (is_int(nx) and is_int(ny)):
+            raise ConfigError(f"accumulator shape must be two integers, got {self.shape!r}")
         if nx < 1 or ny < 1 or xmax <= xmin or ymax <= ymin:
             raise ConfigError("invalid accumulator grid")
         if self.kernel not in ("delta", "gaussian"):

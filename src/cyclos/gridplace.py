@@ -3,16 +3,16 @@ place-field emergence.
 
 Two evaluation modes share one kernel family:
 
-* :func:`coincidence_functional` integrates the phase-locked input along a
-  trajectory over one oscillator period (plain trapezoid average, which keeps
-  segment additivity exact and makes never-aligned boxcar segments integrate
-  to exactly zero).
+* :func:`tour_coincidence_total` integrates the phase-locked input along a
+  trajectory (plain trapezoid rule per segment, which keeps segment
+  additivity exact and makes never-aligned boxcar segments integrate to
+  exactly zero).
 * :func:`place_field_map` evaluates stationary positions through a theta
   gate, a boxcar window of the same width anchored at the oscillator's zero
   phase. Only positions whose grid phases align with the gate (and hence
   with each other) score highly, which is what localizes fields at
-  multi-lattice alignment points; the peak value matches the aligned
-  trajectory value (sum of weights) * delta / pi.
+  multi-lattice alignment points; the peak value matches an aligned
+  trajectory's input per oscillator period, (sum of weights) * delta / pi.
 """
 
 from __future__ import annotations
@@ -24,11 +24,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ClosureError, ConfigError, CyclosError
+from .errors import ClosureError, ConfigError, CyclosError, is_finite, malformed
 from .phasecode import Oscillator, circular_distance, winding_number, wrap_time
 
 TWO_PI = 2.0 * math.pi
 GATE_CENTER = 0.0  # absolute oscillator phase anchoring the theta gate
+TOTAL_REL_TOL = 1e-6  # relative tolerance on two tours' integrated totals
+TOUR_CLOSURE_TOL = 1e-6  # meters between a tour's first and last position
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,11 @@ class GridCell:
     offset: float = 0.0
 
     def __post_init__(self):
-        if math.hypot(*self.wavevector) <= 0:
-            raise CyclosError("grid cell wavevector must be nonzero")
+        with malformed("grid cell wavevector"):
+            kx, ky = self.wavevector
+        if not (is_finite(kx) and is_finite(ky) and is_finite(self.offset) and (kx or ky)):
+            raise CyclosError(f"grid cell needs a finite nonzero wavevector and a finite offset, "
+                              f"got {self.wavevector!r} and {self.offset!r}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,10 @@ class PlaceCellConfig:
     delta: float = math.pi / 8
 
     def __post_init__(self):
-        if any(w < 0 for w in self.weights):
-            raise ConfigError("weights must be non-negative")
+        if not all(is_finite(w) and w >= 0 for w in self.weights):
+            raise ConfigError(f"weights must be finite and non-negative, got {self.weights!r}")
+        if not is_finite(self.threshold):
+            raise ConfigError(f"threshold must be finite, got {self.threshold!r}")
         if not (0 < self.delta <= math.pi / 4):
             raise ConfigError("kernel width must satisfy 0 < delta <= pi/4")
         if self.kernel not in ("boxcar", "von_mises"):
@@ -65,6 +72,8 @@ class Trajectory2D:
         if not self.samples:
             raise CyclosError("a trajectory needs at least one sample")
         times = [t for t, _ in self.samples]
+        if not all(map(is_finite, times)):
+            raise CyclosError(f"trajectory times must be finite, got {times!r}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise CyclosError("trajectory times must be strictly increasing")
 
@@ -143,24 +152,6 @@ def _segment_integral(cfg, kernel, cells, osc, traj, t0, t1) -> float:
         total += 0.5 * (prev + current) * h
         prev = current
     return total
-
-
-def coincidence_functional(
-    cfg: PlaceCellConfig,
-    cells: Sequence[GridCell],
-    traj: Trajectory2D,
-    osc: Oscillator,
-    t0: float,
-) -> float:
-    """Average phase-locked input over one oscillator period starting at t0."""
-    if len(cfg.weights) != len(cells):
-        raise ConfigError("one weight per grid cell required")
-    t1 = t0 + osc.period
-    if t0 < traj.t_start or t1 > traj.t_end:
-        raise CyclosError(
-            f"trajectory must cover [{t0}, {t1}], spans [{traj.t_start}, {traj.t_end}]"
-        )
-    return _segment_integral(cfg, _distance_kernel(cfg), cells, osc, traj, t0, t1) / osc.period
 
 
 def tour_coincidence_total(
@@ -302,23 +293,21 @@ def tour_invariance(
     tour_a: Trajectory2D,
     tour_b: Trajectory2D,
     reverse_b: bool = False,
-    rel_tol: float = 1e-6,
-    position_tol: float = 1e-6,
 ) -> tuple[bool, dict]:
     """Compare two closed tours: integrated totals and phase-winding classes.
 
-    Totals must agree within `rel_tol` relative error and the winding
+    Totals must agree within ``TOTAL_REL_TOL`` relative error and the winding
     vectors of the phase-space lifts must match exactly over the integers.
     `reverse_b` treats tour B as a backward replay of its sample sequence.
     """
     for name, tour in (("A", tour_a), ("B", tour_b)):
         start, end = tour.samples[0][1], tour.samples[-1][1]
-        if math.dist(start, end) > position_tol:
+        if math.dist(start, end) > TOUR_CLOSURE_TOL:
             raise ClosureError(f"tour {name} does not close (gap {math.dist(start, end):.3g} m)")
     total_a = tour_coincidence_total(cfg, cells, tour_a, osc)
     total_b = tour_coincidence_total(cfg, cells, tour_b, osc)
     scale = max(abs(total_a), abs(total_b), 1e-30)
-    totals_match = abs(total_a - total_b) <= rel_tol * scale
+    totals_match = abs(total_a - total_b) <= TOTAL_REL_TOL * scale
 
     windings_a = tour_phase_windings(cells, osc, tour_a)
     windings_b = tour_phase_windings(cells, osc, tour_b, reverse=reverse_b)

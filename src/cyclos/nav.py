@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import (
-    ClosureError, CompositionError, CyclosError, FeasibilityError, SamplingError, is_finite,
+    ClosureError, CompositionError, CyclosError, FeasibilityError, PreconditionError,
+    SamplingError, is_finite, is_int, is_real, malformed,
 )
 
 Point = tuple[float, float]
-DEFAULT_ENDPOINT_TOL = 1e-6
+DEFAULT_ENDPOINT_TOL = 1e-6  # meters between loop ends, consecutive moves and the base
 RESIDUAL_LIMIT = 0.01
 
 
@@ -38,6 +39,9 @@ class Workspace:
     base: Point
 
     def __post_init__(self):
+        with malformed("workspace base"):
+            if not (len(self.base) == 2 and all(map(is_finite, self.base))):
+                raise CyclosError(f"base point must be two finite numbers, got {self.base!r}")
         for i, a in enumerate(self.obstacles):
             for b in self.obstacles[i + 1:]:
                 if math.dist(a.center, b.center) <= a.radius + b.radius:
@@ -54,21 +58,24 @@ class Workspace:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Workspace":
-        return cls(
-            tuple(Disk((x, y), r) for x, y, r in obj["obstacles"]),
-            tuple(obj["base"]),
-        )
+        with malformed("workspace JSON"):
+            return cls(
+                tuple(Disk((x, y), r) for x, y, r in obj["obstacles"]),
+                tuple(obj["base"]),
+            )
 
 
 @dataclass(frozen=True)
 class Move:
-    """Polyline path through the free space."""
+    """Polyline path through the free space, two or more pairs of real numbers."""
 
     path: tuple[Point, ...]
 
     def __post_init__(self):
-        if len(self.path) < 2:
-            raise CyclosError("a move needs at least two points")
+        with malformed("move path"):
+            if len(self.path) < 2 or not all(len(p) == 2 and all(map(is_real, p))
+                                             for p in self.path):
+                raise CyclosError(f"a move needs two or more real pairs, got {self.path!r}")
 
     @property
     def start(self) -> Point:
@@ -148,15 +155,11 @@ def check_feasible(path: Sequence[Point], ws: Workspace) -> None:
                 )
 
 
-def winding_vector(
-    loop: Sequence[Point],
-    ws: Workspace,
-    tol: float = DEFAULT_ENDPOINT_TOL,
-) -> WindingVector:
+def winding_vector(loop: Sequence[Point], ws: Workspace) -> WindingVector:
     """Integer windings of a closed loop around every obstacle."""
     if len(loop) < 3:
         raise CyclosError("loop needs at least three points")
-    if math.dist(loop[0], loop[-1]) > tol:
+    if math.dist(loop[0], loop[-1]) > DEFAULT_ENDPOINT_TOL:
         raise ClosureError(
             f"loop endpoints differ by {math.dist(loop[0], loop[-1]):.3g} m"
         )
@@ -182,25 +185,21 @@ def winding_vector(
     return WindingVector(tuple(windings))
 
 
-def compose_moves(
-    sequence: Sequence[Move],
-    ws: Workspace,
-    tol: float = DEFAULT_ENDPOINT_TOL,
-) -> list[Point]:
+def compose_moves(sequence: Sequence[Move], ws: Workspace) -> list[Point]:
     """Concatenate moves into a homing loop anchored at the base point."""
     if not sequence:
         raise CompositionError("no moves to compose")
-    if math.dist(sequence[0].start, ws.base) > tol:
+    if math.dist(sequence[0].start, ws.base) > DEFAULT_ENDPOINT_TOL:
         raise CompositionError("first move does not start at the base point")
     path: list[Point] = list(sequence[0].path)
     for idx, move in enumerate(sequence[1:], start=1):
-        if math.dist(path[-1], move.start) > tol:
+        if math.dist(path[-1], move.start) > DEFAULT_ENDPOINT_TOL:
             raise CompositionError(
                 f"move {idx} starts {math.dist(path[-1], move.start):.3g} m away from "
                 "the previous endpoint"
             )
         path.extend(move.path[1:])
-    if math.dist(path[-1], ws.base) > tol:
+    if math.dist(path[-1], ws.base) > DEFAULT_ENDPOINT_TOL:
         raise ClosureError("composed path does not return to the base point")
     check_feasible(path, ws)
     return path
@@ -210,28 +209,25 @@ def order_invariance_check(
     moveset: Sequence[Move],
     orderings: Sequence[Sequence[int]],
     ws: Workspace,
-    tol: float = DEFAULT_ENDPOINT_TOL,
 ) -> tuple[bool, dict]:
     """Compare winding vectors across move orderings.
 
-    Invalid orderings (composition or closure failures) are reported per
-    ordering and excluded; the check passes iff every valid ordering yields
-    one winding vector.
+    Every ordering must list indices into `moveset`. Invalid orderings
+    (composition or closure failures) are reported per ordering and
+    excluded; the check passes iff every valid ordering yields one winding
+    vector.
     """
+    if not all(is_int(i) and 0 <= i < len(moveset) for order in orderings for i in order):
+        raise PreconditionError(f"orderings must hold move indices 0..{len(moveset) - 1}")
     results = []
     vectors = []
     for ordering in orderings:
         try:
-            loop = compose_moves([moveset[i] for i in ordering], ws, tol)
-            vec = winding_vector(loop, ws, tol)
+            loop = compose_moves([moveset[i] for i in ordering], ws)
+            vec = winding_vector(loop, ws)
             vectors.append(vec)
             results.append({"ordering": list(ordering), "windings": list(vec.windings)})
         except CyclosError as err:
             results.append({"ordering": list(ordering), "error": str(err)})
     ok = bool(vectors) and all(v == vectors[0] for v in vectors)
     return ok, {"pass": ok, "orderings": results}
-
-
-def product_class(perception: WindingVector, action: WindingVector) -> WindingVector:
-    """Direct-sum class of a perception loop and an action loop."""
-    return WindingVector(perception.windings + action.windings)

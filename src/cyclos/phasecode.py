@@ -1,4 +1,4 @@
-"""Phase wrapping onto the circle, phase-ring chains, and winding numbers.
+"""Phase wrapping onto the circle and winding numbers.
 
 Unwrapping picks the nearest branch, so inputs must be sampled densely
 enough that consecutive gaps stay below pi; that contract is enforced, not
@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chaincore import Chain1, ChainComplex
 from .errors import ClosureError, CyclosError, UnwrapError, is_finite
 
 TWO_PI = 2.0 * math.pi
@@ -35,25 +34,6 @@ class Oscillator:
         return 1.0 / self.frequency_hz
 
 
-@dataclass(frozen=True)
-class PhaseBinning:
-    bin_count: int
-
-    def __post_init__(self):
-        if self.bin_count < 2:
-            raise CyclosError("need at least 2 phase bins")
-
-    def boundaries(self) -> list[float]:
-        return [TWO_PI * i / self.bin_count for i in range(self.bin_count)]
-
-
-@dataclass(frozen=True)
-class TorusPath:
-    """Samples of (theta phase, gamma phase); gaps must stay below pi."""
-
-    samples: tuple[tuple[float, float], ...]
-
-
 def wrap_time(t: float, osc: Oscillator) -> float:
     """Phase of the oscillator at time t, reduced to [0, 2*pi)."""
     raw = TWO_PI * osc.frequency_hz * t + osc.phase_offset
@@ -74,15 +54,6 @@ def signed_gap(a: float, b: float) -> float:
     return d
 
 
-def phase_ring_chain(bins: PhaseBinning) -> tuple[ChainComplex, Chain1]:
-    """Ring complex on the phase bins and the full-sweep 1-cycle."""
-    count = bins.bin_count
-    edges = [(i, (i + 1) % count) for i in range(count)]
-    complex_ = ChainComplex(list(range(count)), edges)
-    chain = Chain1.from_dict({i: 1 for i in range(count)})
-    return complex_, chain
-
-
 def winding_number(
     phases: Sequence[float],
     closed: bool,
@@ -90,6 +61,8 @@ def winding_number(
 ) -> int:
     if len(phases) < 2:
         raise CyclosError("need at least two phase samples")
+    if not (is_finite(closure_tol) and closure_tol >= 0):
+        raise CyclosError(f"closure tolerance must be finite and >= 0, got {closure_tol!r}")
     if closed and circular_distance(phases[0], phases[-1]) > closure_tol:
         raise ClosureError(
             f"path not closed: endpoints differ by {circular_distance(phases[0], phases[-1]):.3g} rad"
@@ -101,11 +74,3 @@ def winding_number(
         raise CyclosError("phase samples must be finite")
     return round(total / TWO_PI)
 
-
-def torus_winding(path: TorusPath, closure_tol: float = DEFAULT_CLOSURE_TOL) -> tuple[int, int]:
-    """Winding pair (k_gamma, k_theta) of a closed path on the theta x gamma torus."""
-    thetas = [theta for theta, _ in path.samples]
-    gammas = [gamma for _, gamma in path.samples]
-    k_theta = winding_number(thetas, closed=True, closure_tol=closure_tol)
-    k_gamma = winding_number(gammas, closed=True, closure_tol=closure_tol)
-    return k_gamma, k_theta

@@ -4,8 +4,8 @@ Neurons are pure coincidence detectors: a unit fires when at least `k`
 presynaptic arrivals land within one sliding window of width `delta` ms and
 their summed weights reach the firing threshold, subject to a refractory
 period. The event queue is totally ordered by (time, neuron, synapse), so a
-run is a pure function of (network, stimuli); the `seed` argument only tags
-the log. STDP uses nearest-neighbor pairing on spike times (presynaptic
+run is a pure function of (network, stimuli) and draws no random
+numbers. STDP uses nearest-neighbor pairing on spike times (presynaptic
 soma time, not arrival time): a synapse whose pre spike causally drives its
 post therefore sees post - pre = conduction delay > 0 and potentiates. The
 rule lives inside `simulate`'s event loop: a pairing with post - pre = dt
@@ -29,7 +29,7 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ConfigError, is_finite, is_int, malformed
@@ -75,10 +75,6 @@ class DelayNetwork:
                 raise ConfigError(f"synapse {idx} delay must be finite and > 0")
             if not (0.0 <= syn.weight <= self.w_max):
                 raise ConfigError(f"synapse {idx} weight outside [0, {self.w_max}]")
-
-    def with_weights(self, weights: Sequence[float]) -> "DelayNetwork":
-        new_syn = tuple(replace(s, weight=w) for s, w in zip(self.synapses, weights))
-        return replace(self, synapses=new_syn)
 
     def to_json_obj(self) -> dict:
         return {
@@ -127,7 +123,6 @@ class EventLog:
     records: tuple[tuple[float, int, str], ...]  # (time_ms, neuron, kind)
     final_weights: tuple[float, ...]
     horizon: float
-    seed: int = 0
 
     def spikes_of(self, neuron: int) -> list[float]:
         return [t for t, n, _ in self.records if n == neuron]
@@ -157,7 +152,6 @@ def simulate(
     stimuli: Sequence[tuple[int, float]],
     horizon: float,
     stdp: STDPParams | None = None,
-    seed: int = 0,
 ) -> EventLog:
     if not (is_finite(horizon) and horizon > 0):
         raise ConfigError(f"horizon must be finite and positive, got {horizon!r}")
@@ -267,7 +261,7 @@ def simulate(
                 heappush(heap, (arrival_t, posts[syn_out], syn_out, seq))
                 seq += 1
 
-    return EventLog(tuple(records), tuple(weights), horizon, seed)
+    return EventLog(tuple(records), tuple(weights), horizon)
 
 
 def find_resonant_cycles(
@@ -276,7 +270,6 @@ def find_resonant_cycles(
     delta: float,
     tau_gain: float,
     max_len: int,
-    safety_cap: int = DEFAULT_MAX_CYCLE_LEN,
 ) -> list[CycleCandidate]:
     """All simple directed cycles (length <= max_len) resonant with the carrier.
 
@@ -289,10 +282,9 @@ def find_resonant_cycles(
         raise ConfigError(f"t_theta must be finite and > 0, got {t_theta!r}")
     if not (is_finite(delta) and is_finite(tau_gain)):
         raise ConfigError(f"delta and tau_gain must be finite, got {delta!r} and {tau_gain!r}")
-    if max_len < 2:
-        raise ConfigError("max_len must be at least 2")
-    if max_len > safety_cap:
-        raise ConfigError(f"max_len {max_len} exceeds the safety cap {safety_cap}")
+    if not (is_int(max_len) and 2 <= max_len <= DEFAULT_MAX_CYCLE_LEN):
+        raise ConfigError(f"max_len must be an integer from 2 to the safety cap "
+                          f"{DEFAULT_MAX_CYCLE_LEN}, got {max_len!r}")
     adjacency: dict[int, list[int]] = {}
     for idx, syn in enumerate(net.synapses):
         adjacency.setdefault(syn.pre, []).append(idx)
@@ -340,8 +332,8 @@ def test_reentry(
     (n * t_theta) after the previous one, so latency errors do not accumulate
     across periods.
     """
-    if periods < 1:
-        raise ConfigError("periods must be at least 1")
+    if not (is_int(periods) and periods >= 1):
+        raise ConfigError(f"periods must be an integer of at least 1, got {periods!r}")
     expected_interval = cycle.resonance_n * cycle.t_theta
     horizon = periods * max(expected_interval, cycle.delay_sum) + net.delta + 1.0
     log = simulate(net, [(cycle.head, 0.0)], horizon)
@@ -420,23 +412,3 @@ def order_invariant_readout(
         readouts.append(target_spikes[0])
     return all(t == readouts[0] for t in readouts)
 
-
-def replay_consolidate(
-    net: DelayNetwork,
-    cycles: Sequence[CycleCandidate],
-    rounds: int,
-    gain: float,
-    decay: float,
-) -> DelayNetwork:
-    """Multiply on-cycle weights by gain and all others by decay, per round."""
-    if not (gain > 1.0 > decay > 0.0):
-        raise ConfigError("need gain > 1 > decay > 0")
-    on_cycle = {idx for c in cycles for idx in c.synapses}
-    weights = [s.weight for s in net.synapses]
-    for _ in range(rounds):
-        for idx in range(len(weights)):
-            if idx in on_cycle:
-                weights[idx] = min(weights[idx] * gain, net.w_max)
-            else:
-                weights[idx] = weights[idx] * decay
-    return net.with_weights(weights)

@@ -39,26 +39,26 @@ class TestBuildGraph:
     def test_pair_within_half_window(self):
         window = CoincidenceWindow(0.5)
         train = SpikeTrain(2, [(0, time_at_phase(0.0)), (1, time_at_phase(0.25))])
-        graph = coincide.build_coincidence_graph(train, OSC, window)
+        graph = coincide.closed_part(train, OSC, window).graph
         assert graph.edges == ((0, 1),)
 
     def test_pair_outside_window(self):
         window = CoincidenceWindow(0.5)
         train = SpikeTrain(2, [(0, time_at_phase(0.0)), (1, time_at_phase(1.0))])
-        graph = coincide.build_coincidence_graph(train, OSC, window)
+        graph = coincide.closed_part(train, OSC, window).graph
         assert graph.edges == ()
 
     def test_cyclic_pattern_contains_directed_3_cycle(self):
-        graph = coincide.build_coincidence_graph(cyclic_train(), OSC, CoincidenceWindow(0.35))
+        graph = coincide.closed_part(cyclic_train(), OSC, CoincidenceWindow(0.35)).graph
         assert set(graph.edges) == {(0, 1), (1, 2), (2, 0)}
 
     def test_simultaneous_spikes_make_no_edge(self):
         train = SpikeTrain(2, [(0, 1.0), (1, 1.0)])
-        graph = coincide.build_coincidence_graph(train, OSC, CoincidenceWindow(0.5))
+        graph = coincide.closed_part(train, OSC, CoincidenceWindow(0.5)).graph
         assert graph.edges == ()
 
     def test_empty_train_gives_empty_graph(self):
-        graph = coincide.build_coincidence_graph(SpikeTrain(3, []), OSC, CoincidenceWindow(0.3))
+        graph = coincide.closed_part(SpikeTrain(3, []), OSC, CoincidenceWindow(0.3)).graph
         assert graph.edges == () and len(graph.vertices) == 3
 
     def test_invalid_window(self):
@@ -120,8 +120,8 @@ class TestClosedPart:
             n = rng.randint(2, 5)
             spikes = [(rng.randrange(n), rng.uniform(0, 0.4)) for _ in range(12)]
             train = SpikeTrain(n, spikes)
-            small = coincide.build_coincidence_graph(train, OSC, CoincidenceWindow(0.3))
-            large = coincide.build_coincidence_graph(train, OSC, CoincidenceWindow(0.9))
+            small = coincide.closed_part(train, OSC, CoincidenceWindow(0.3)).graph
+            large = coincide.closed_part(train, OSC, CoincidenceWindow(0.9)).graph
             def counts(graph):
                 out = {}
                 for e in graph.edges:
@@ -215,8 +215,6 @@ class TestErrorContract:
                      PreconditionError, id="closed-part-cap-fractional"),
         pytest.param(lambda: coincide.closed_part(cyclic_train(), OSC, WINDOW, True),
                      PreconditionError, id="closed-part-cap-bool"),
-        pytest.param(lambda: coincide.build_coincidence_graph(cyclic_train(), OSC, WINDOW, 0),
-                     PreconditionError, id="graph-cap-zero"),
         pytest.param(lambda: coincide.trial_invariance([cyclic_train()], OSC, WINDOW, 0.05, 2.5),
                      PreconditionError, id="trial-cap-fractional"),
         pytest.param(lambda: coincide.coincidence_persistence(cyclic_train(), OSC, [0.2, 0.35],
@@ -263,7 +261,7 @@ class TestCoincidencePersistence:
             deltas = [0.2, 0.4, 0.6, 0.8]
             barcode = coincide.coincidence_persistence(train, OSC, deltas)
             for delta in deltas:
-                graph = coincide.build_coincidence_graph(train, OSC, CoincidenceWindow(delta))
+                graph = coincide.closed_part(train, OSC, CoincidenceWindow(delta)).graph
                 d1 = np.array(graph.boundary1, dtype=float)
                 rank1 = np.linalg.matrix_rank(d1) if graph.edges else 0
                 beta0 = len(graph.vertices) - rank1
@@ -374,7 +372,6 @@ class TestOnePassOracle:
             window = CoincidenceWindow(delta)
             kept, overflow = reference_cap(reference_pairs(train, osc, delta), cap)
             edges = tuple((i, j) for i, j, _, _ in kept)
-            assert coincide.build_coincidence_graph(train, osc, window, cap).edges == edges
             result = coincide.closed_part(train, osc, window, cap)
             assert result.graph.edges == edges
             assert list(result.multiplicity_overflow.items()) == list(overflow.items())

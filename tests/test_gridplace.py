@@ -12,7 +12,6 @@ from cyclos.gridplace import (
     GridCell,
     PlaceCellConfig,
     Trajectory2D,
-    coincidence_functional,
     grid_phase,
     place_field_map,
     tour_coincidence_total,
@@ -54,21 +53,15 @@ class TestCoincidenceFunctional:
         delta = math.pi / 8
         cfg = PlaceCellConfig((2.0,), threshold=0.1, delta=delta)
         cell = GridCell((TWO_PI, 0.0), offset=0.3)
-        traj = stationary((0.0, 0.0), duration=2 * OSC.period)
-        value = coincidence_functional(cfg, [cell], traj, OSC, t0=0.0)
+        traj = stationary((0.0, 0.0), duration=OSC.period, n=2)
+        value = tour_coincidence_total(cfg, [cell], traj, OSC) / OSC.period
         assert value == pytest.approx(2.0 * delta / math.pi, rel=0.02)
 
     def test_zero_weights_give_zero(self):
         cfg = PlaceCellConfig((0.0, 0.0), threshold=0.1)
         cells = [GridCell((TWO_PI, 0.0)), GridCell((0.0, TWO_PI))]
-        traj = stationary((0.2, 0.7), duration=2 * OSC.period)
-        assert coincidence_functional(cfg, cells, traj, OSC, 0.0) == 0.0
-
-    def test_coverage_gap_rejected(self):
-        cfg = PlaceCellConfig((1.0,), threshold=0.1)
-        traj = stationary((0.0, 0.0), duration=OSC.period / 3)
-        with pytest.raises(CyclosError):
-            coincidence_functional(cfg, [GridCell((TWO_PI, 0.0))], traj, OSC, 0.0)
+        traj = stationary((0.2, 0.7), duration=OSC.period, n=2)
+        assert tour_coincidence_total(cfg, cells, traj, OSC) == 0.0
 
     def test_open_segment_cancellation_exact_zero(self):
         # position tracks theta so the grid phase stays antipodal throughout

@@ -6,12 +6,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclos import pngsim
 from cyclos.chaincore import Chain1, ChainComplex
 from cyclos.coincide import SpikeTrain
 from cyclos.errors import CyclosError
 from cyclos.ght import AccumulatorConfig, Feature, GazeTransform, ModelTable, accumulate
-from cyclos.gridplace import Trajectory2D
-from cyclos.nav import Disk
+from cyclos.gridplace import GridCell, PlaceCellConfig, Trajectory2D
+from cyclos.nav import Disk, Move, Workspace, order_invariance_check
 from cyclos.persist import Bar, Barcode, Filtration
 from cyclos.phasecode import Oscillator, winding_number
 from cyclos.pngsim import DelayNetwork, STDPParams, Synapse, find_resonant_cycles, simulate
@@ -108,6 +109,10 @@ class TestAcceptedInput:
         assert train.spikes == ((0, 0.5), (1, 1.0))
         assert SpikeTrain.from_json_obj(train.to_json_obj()) == train
 
+    def test_move_points_may_be_non_finite(self):
+        # check_feasible's exact test, not the constructor, handles them
+        assert Move(((math.nan, 0.0), (math.inf, -math.inf))).path[1] == (math.inf, -math.inf)
+
     def test_delay_network_json_with_integer_ids(self):
         obj = {"neurons": 2, "synapses": [[0, 1, 0.5, 1]], "delta_ms": 1, "k": 1}
         net = DelayNetwork.from_json_obj(obj)
@@ -147,9 +152,15 @@ def resonant_cycles(t_theta):
     return find_resonant_cycles(two_cycle(), t_theta, delta=0.5, tau_gain=0.1, max_len=2)
 
 
+def homing_orderings(orderings):
+    """Order invariance of one closed move at the base of an empty workspace."""
+    lap = Move(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)))
+    return order_invariance_check([lap], orderings, Workspace((), (0.0, 0.0)))
+
+
 class TestErrorContract:
-    """Each row used to raise TypeError, ValueError or ZeroDivisionError, or
-    to pass silently, instead of raising a CyclosError."""
+    """Each row used to raise KeyError, IndexError, TypeError, ValueError or
+    ZeroDivisionError, or to pass silently, instead of raising a CyclosError."""
 
     @pytest.mark.parametrize("build", [
         pytest.param(lambda: Oscillator("8"), id="oscillator-string-frequency"),
@@ -159,9 +170,6 @@ class TestErrorContract:
         pytest.param(lambda: ChainComplex([0, 1], [([0], 1)]), id="complex-list-endpoint"),
         pytest.param(lambda: ChainComplex([0, 1, 2], TRIANGLE_EDGES, [([0], 1, 2)]),
                      id="complex-list-triangle-vertex"),
-        pytest.param(lambda: ChainComplex([0, 1, 2], TRIANGLE_EDGES, [(0, 1, 2)],
-                                          boundary2_override=[[1, 1], [1], [1]]),
-                     id="complex-ragged-override"),
         pytest.param(lambda: two_cycle(delay=math.nan), id="network-nan-delay"),
         pytest.param(lambda: two_cycle(delay="2"), id="network-string-delay"),
         pytest.param(lambda: two_cycle(delta=math.nan), id="network-nan-window"),
@@ -170,6 +178,30 @@ class TestErrorContract:
         pytest.param(lambda: resonant_cycles(math.nan), id="resonance-nan-period"),
         pytest.param(lambda: resonant_cycles(-4.0), id="resonance-negative-period"),
         pytest.param(lambda: resonant_cycles(math.inf), id="resonance-inf-period"),
+        pytest.param(lambda: find_resonant_cycles(two_cycle(), 4.0, 0.5, 0.1, 2.5),
+                     id="resonance-fractional-max-len"),
+        pytest.param(lambda: pngsim.test_reentry(two_cycle(), resonant_cycles(4.0)[0], 1.5),
+                     id="reentry-fractional-periods"),
+        pytest.param(lambda: Workspace.from_json_obj({"obstacles": []}),
+                     id="workspace-json-no-base"),
+        pytest.param(lambda: Workspace((), (math.nan, 0.0)), id="workspace-nan-base"),
+        pytest.param(lambda: Workspace((), ("a", "b")), id="workspace-string-base"),
+        pytest.param(lambda: Move(((0.0, 0.0), ("a", "b"))), id="move-string-point"),
+        pytest.param(lambda: Move(((0.0, 0.0), (1.0, 0.0, 2.0))), id="move-three-coordinate-point"),
+        pytest.param(lambda: homing_orderings([[0], [5]]), id="ordering-index-out-of-range"),
+        pytest.param(lambda: homing_orderings([[0], [-1]]), id="ordering-negative-index"),
+        pytest.param(lambda: GridCell((math.nan, 1.0)), id="grid-cell-nan-wavevector"),
+        pytest.param(lambda: GridCell(("a", 1.0)), id="grid-cell-string-wavevector"),
+        pytest.param(lambda: PlaceCellConfig((1.0, math.nan), 0.1), id="place-config-nan-weight"),
+        pytest.param(lambda: PlaceCellConfig((1.0,), math.nan), id="place-config-nan-threshold"),
+        pytest.param(lambda: Trajectory2D(((0.0, (0.0, 0.0)), (math.nan, (1.0, 0.0)))),
+                     id="trajectory-nan-time"),
+        pytest.param(lambda: AccumulatorConfig((0.0, 1.0, 0.0, 1.0), (2.5, 2)),
+                     id="accumulator-fractional-shape"),
+        pytest.param(lambda: winding_number([0.0, 1.0, 2.0], True, math.nan),
+                     id="winding-nan-closure-tol"),
+        pytest.param(lambda: winding_number([0.0, 1.0], False, -1.0),
+                     id="winding-negative-closure-tol"),
     ])
     def test_rejected_with_cyclos_error(self, build):
         with pytest.raises(CyclosError):

@@ -3,10 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclos import chaincore, phasecode
-from cyclos.chaincore import Chain1
-from cyclos.errors import ClosureError, CyclosError, UnwrapError
-from cyclos.phasecode import Oscillator, PhaseBinning, TorusPath
+from cyclos import phasecode
+from cyclos.errors import ClosureError, UnwrapError
+from cyclos.phasecode import Oscillator
 
 TWO_PI = 2 * math.pi
 
@@ -37,27 +36,6 @@ class TestWrapTime:
         for t in (-3.7, -0.1, 0.0, 0.9, 123.4):
             phase = phasecode.wrap_time(t, Oscillator(7.3, 1.2))
             assert 0.0 <= phase < TWO_PI
-
-
-class TestPhaseRingChain:
-    def test_l3_closes(self):
-        cx, chain = phasecode.phase_ring_chain(PhaseBinning(3))
-        assert chaincore.boundary1(chain, cx) == {}
-
-    def test_l12_is_a_circle(self):
-        cx, chain = phasecode.phase_ring_chain(PhaseBinning(12))
-        assert chaincore.betti(cx, 1) == 1
-        assert not chaincore.homology_class(chain, cx).is_zero()
-        assert chaincore.verify_dd_zero(cx)
-
-    def test_missing_edge_leaves_endpoints(self):
-        cx, chain = phasecode.phase_ring_chain(PhaseBinning(5))
-        broken = Chain1.from_dict({i: c for (i, c) in chain.coefficients if i != 2})
-        assert chaincore.boundary1(broken, cx) != {}
-
-    def test_too_few_bins(self):
-        with pytest.raises(CyclosError):
-            PhaseBinning(1)
 
 
 class TestWindingNumber:
@@ -99,17 +77,20 @@ class TestWindingNumber:
 
 
 class TestTorusWinding:
+    """Each coordinate of a closed (theta, gamma) path winds on its own circle."""
+
     def test_gamma_nested_in_theta(self):
-        # 40 Hz gamma inside 8 Hz theta over one theta period -> (5, 1)
+        # 40 Hz gamma inside 8 Hz theta over one theta period: 5 gamma laps, 1 theta lap
         theta, gamma = Oscillator(8.0), Oscillator(40.0)
         times = [i * theta.period / 256 for i in range(257)]
-        samples = [(phasecode.wrap_time(t, theta), phasecode.wrap_time(t, gamma)) for t in times]
-        assert phasecode.torus_winding(TorusPath(tuple(samples))) == (5, 1)
+        assert phasecode.winding_number([phasecode.wrap_time(t, gamma) for t in times], True) == 5
+        assert phasecode.winding_number([phasecode.wrap_time(t, theta) for t in times], True) == 1
 
     def test_constant_point(self):
-        samples = tuple((1.0, 2.0) for _ in range(5))
-        assert phasecode.torus_winding(TorusPath(samples)) == (0, 0)
+        assert phasecode.winding_number([1.0] * 5, closed=True) == 0
+        assert phasecode.winding_number([2.0] * 5, closed=True) == 0
 
     def test_theta_only_lap(self):
-        samples = tuple((i * TWO_PI / 8 % TWO_PI, 0.5) for i in range(9))
-        assert phasecode.torus_winding(TorusPath(samples)) == (0, 1)
+        thetas = [i * TWO_PI / 8 % TWO_PI for i in range(9)]
+        assert phasecode.winding_number([0.5] * 9, closed=True) == 0
+        assert phasecode.winding_number(thetas, closed=True) == 1

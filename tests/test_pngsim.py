@@ -1,4 +1,4 @@
-"""Delay-network simulation, STDP, resonant-cycle mining, reentry, replay.
+"""Delay-network simulation, STDP, resonant-cycle mining, reentry, readout.
 
 Ring reactivation times have an analytic oracle (spikes every delay-sum
 milliseconds when every hop is super-threshold), which the event-driven
@@ -274,55 +274,6 @@ class TestOrderInvariantReadout:
         assert not pngsim.order_invariant_readout(net, [[0], [1]], within=4.0)
 
 
-class TestReplayConsolidate:
-    def test_single_round_arithmetic(self):
-        synapses = (Synapse(0, 1, 0.5, 10.0), Synapse(1, 0, 0.5, 10.0),
-                    Synapse(0, 2, 0.5, 10.0))
-        net = DelayNetwork(3, synapses, delta=4.0)
-        cycle = CycleCandidate((0, 1, 0), (0, 1), 20.0, 0.25, 1, 20.0)
-        updated = pngsim.replay_consolidate(net, [cycle], rounds=1, gain=1.1, decay=0.9)
-        assert updated.synapses[0].weight == pytest.approx(0.55)
-        assert updated.synapses[1].weight == pytest.approx(0.55)
-        assert updated.synapses[2].weight == pytest.approx(0.45)
-
-    def test_consolidation_separates_cycles_from_noise(self):
-        synapses = (
-            Synapse(0, 1, 0.8, 60.0), Synapse(1, 0, 0.8, 65.0),
-            Synapse(0, 2, 0.8, 33.0), Synapse(2, 0, 0.8, 41.0),
-        )
-        net = DelayNetwork(3, synapses, delta=5.0)
-        mined = pngsim.find_resonant_cycles(net, 125.0, 5.0, 0.5, 4)
-        assert len(mined) == 1  # only the 0<->1 loop resonates
-        updated = pngsim.replay_consolidate(net, mined, rounds=50, gain=1.05, decay=0.95)
-        survivors = pngsim.find_resonant_cycles(updated, 125.0, 5.0, 0.5, 4)
-        assert [c.vertices for c in survivors] == [(0, 1, 0)]
-        off_product = updated.synapses[2].weight * updated.synapses[3].weight
-        assert off_product < 0.5
-
-    def test_empty_cycle_list_decays_everything(self):
-        net = ring_network([10.0, 10.0, 10.0], weights=[0.6, 0.6, 0.6])
-        updated = pngsim.replay_consolidate(net, [], rounds=2, gain=1.1, decay=0.5)
-        assert all(s.weight == pytest.approx(0.15) for s in updated.synapses)
-
-    def test_monotone_gain_until_clipping(self):
-        net = ring_network([10.0, 10.0, 10.0], weights=[0.5, 0.5, 0.5])
-        cycle = CycleCandidate((0, 1, 2, 0), (0, 1, 2), 30.0, 0.125, 1, 30.0)
-        product = 0.125
-        current = net
-        for _ in range(20):
-            current = pngsim.replay_consolidate(current, [cycle], 1, 1.05, 0.95)
-            new_product = 1.0
-            for idx in cycle.synapses:
-                new_product *= current.synapses[idx].weight
-            assert new_product >= product - 1e-12
-            product = new_product
-
-    def test_parameter_validation(self):
-        net = ring_network([10.0, 10.0, 10.0])
-        with pytest.raises(ConfigError):
-            pngsim.replay_consolidate(net, [], 1, gain=0.9, decay=0.5)
-
-
 class TestNetworkJson:
     def test_round_trip(self):
         net = ring_network([40.0, 40.0, 45.0])
@@ -330,7 +281,7 @@ class TestNetworkJson:
         assert again == net
 
 
-def reference_simulate(net, stimuli, horizon, stdp=None, seed=0):
+def reference_simulate(net, stimuli, horizon, stdp=None):
     """Dict-keyed synapse lists; each arrival rebuilds its neuron's window list
     by filtering out arrivals older than delta."""
     weights = [s.weight for s in net.synapses]
@@ -393,7 +344,7 @@ def reference_simulate(net, stimuli, horizon, stdp=None, seed=0):
             fire(neuron, t, "spike")
 
     records.sort(key=lambda r: (r[0], r[1]))
-    return pngsim.EventLog(tuple(records), tuple(weights), horizon, seed)
+    return pngsim.EventLog(tuple(records), tuple(weights), horizon)
 
 
 # half-millisecond grids make arrival ties, window edges (an arrival exactly
