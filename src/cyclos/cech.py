@@ -329,10 +329,15 @@ def pairing_cocycle(
         value = float((rho_i @ s_i) @ (rho_j @ (m_j @ g_j))
                       - (rho_j @ s_j) @ (rho_i @ (m_i @ g_i)))
         omega[(i, j)] = value
-    coboundary = {}
-    for (a, b, c) in nerve.triangles:
-        coboundary[(a, b, c)] = omega[(b, c)] - omega[(a, c)] + omega[(a, b)]
-    return CocycleResult(omega, coboundary)
+    coboundary = _coboundary([omega[edge] for edge in nerve.edges], nerve)
+    return CocycleResult(omega, dict(zip(nerve.triangles, coboundary)))
+
+
+def _coboundary(values: Sequence[float], nerve: ChainComplex) -> list[float]:
+    """An edge cochain, one value per nerve edge, on each triangle's boundary,
+    summed left to right from the first face (``sum`` turns -0.0 into 0.0)."""
+    return [s1 * values[e1] + s2 * values[e2] + s3 * values[e3]
+            for (e1, s1), (e2, s2), (e3, s3) in nerve.boundary2]
 
 
 @dataclass(frozen=True)
@@ -361,15 +366,10 @@ def cocycle_class(omega: Mapping[Edge, float], nerve: ChainComplex) -> CocycleCl
             values[edge_index[(edge[1], edge[0])]] = -float(value)
         else:
             raise CyclosError(f"cochain edge {edge} not in the nerve")
-    for (a, b, c) in nerve.triangles:
-        residual = (
-            values[edge_index[(b, c)]]
-            - values[edge_index[(a, c)]]
-            + values[edge_index[(a, b)]]
-        )
+    for triangle, residual in zip(nerve.triangles, _coboundary(values, nerve)):
         if abs(residual) >= TOL:
             raise ClosureError(
-                f"cochain is not closed on triangle {(a, b, c)} (residual {residual:.3g})"
+                f"cochain is not closed on triangle {triangle} (residual {residual:.3g})"
             )
     coords = []
     for cycle in homology_basis_cycles(nerve):

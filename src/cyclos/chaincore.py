@@ -1,10 +1,10 @@
 """Integer chain complexes in dimensions 0-2 and their cycle machinery.
 
 The complex stores an ordered vertex list, oriented edges (parallel edges
-allowed), and optional oriented triangles. Boundary matrices are built over
-the integers. Boundaries, projections and class reduction hold a chain as
-integer numerators over the lcm of its denominators and build ``Fraction``s
-once per result, so closure checks (``boundary1(z) == 0``) are exact.
+allowed), and optional oriented triangles with their :func:`faces`. Chain
+boundaries, projections and class reduction hold a chain as integer
+numerators over the lcm of its denominators and build ``Fraction``s once
+per result, so closure checks (``boundary1(z) == 0``) are exact.
 Fundamental cycles come from root paths in the lexicographic-minimum
 spanning forest. The projection onto cycles solves a vertex-sized
 graph-Laplacian system grounded at the forest roots (Lim, "Hodge Laplacians
@@ -112,11 +112,12 @@ class UnionFind:
 
 
 class ChainComplex:
-    """Vertices, oriented edges, optional triangles, and boundary matrices.
+    """Vertices, oriented edges and optional triangles.
 
-    Immutable after construction. Boundary matrices are derived from the
-    simplex lists, and :func:`side_edges` makes every triangle column a
-    cycle, so d(d(.)) = 0 holds by construction.
+    Immutable after construction. ``boundary2`` holds each triangle's
+    :func:`faces`, one ``(edge index, sign)`` pair per face, and
+    :func:`side_edges` makes every triangle boundary a cycle, so
+    d(d(.)) = 0 holds by construction.
     """
 
     def __init__(
@@ -139,36 +140,11 @@ class ChainComplex:
                 for tail, head in self.edges:
                     if tail not in self._vertex_index or head not in self._vertex_index:
                         raise CyclosError(f"edge ({tail!r}, {head!r}) references unknown vertex")
-            if self.triangles:
-                self.boundary2  # resolve every triangle side now, so a bad one fails here
+            # resolve every triangle side now, so a bad one fails here
+            sides = side_edges(self.edges) if self.triangles else {}
+            self.boundary2 = tuple(faces(sides, t) for t in self.triangles)
 
     # -- construction helpers -------------------------------------------------
-
-    @cached_property
-    def boundary1(self) -> list[list[int]]:
-        """Dense vertex-by-edge incidence matrix, built on first access."""
-        mat = [[0] * len(self.edges) for _ in self.vertices]
-        for j, (tail, head) in enumerate(self.edges):
-            mat[self._vertex_index[head]][j] += 1
-            mat[self._vertex_index[tail]][j] -= 1
-        return mat
-
-    @cached_property
-    def boundary2(self) -> list[list[int]]:
-        """Edge-by-triangle matrix, built on first access (at construction
-        when there are triangles). Triangle (a, b, c) has boundary
-        a->b + b->c + c->a, each side resolved by :func:`side_edges`."""
-        if not self.triangles:
-            return [[] for _ in self.edges]
-        mat = [[0] * len(self.triangles) for _ in self.edges]
-        sides = side_edges(self.edges)
-        for j, (a, b, c) in enumerate(self.triangles):
-            for side in ((a, b), (b, c), (c, a)):
-                if side not in sides:
-                    raise CyclosError(f"triangle side {side!r} has no matching edge")
-                edge_idx, sign = sides[side]
-                mat[edge_idx][j] += sign
-        return mat
 
     @cached_property
     def _parents(self) -> dict[VertexId, tuple[VertexId, int, int]]:
@@ -215,14 +191,18 @@ class ChainComplex:
         coordinates, computed on first access.
 
         A cycle's coordinates are its coefficients on the non-tree edges
-        (:func:`homology_class`), so each row is a triangle column read
+        (:func:`homology_class`), so each row is a triangle's boundary read
         on those edges.
         """
         if not self.triangles:
             return [], []
-        columns = [[self.boundary2[j][t] for j in self._nontree_edges]
-                   for t in range(len(self.triangles))]
-        reduced, pivots = ratlin.rref(columns)
+        position = {j: pos for pos, j in enumerate(self._nontree_edges)}
+        rows = [[0] * len(position) for _ in self.triangles]
+        for row, triangle in zip(rows, self.boundary2):
+            for j, sign in triangle:
+                if j in position:
+                    row[position[j]] += sign
+        reduced, pivots = ratlin.rref(rows)
         return reduced[: len(pivots)], pivots
 
     # -- basic queries ---------------------------------------------------------
@@ -277,14 +257,25 @@ def side_edges(
     orientation, with sign -1 when that edge runs against the side.
 
     This is the one rule by which a triangle side meets a (possibly parallel
-    or antiparallel) edge: ``ChainComplex`` builds boundary2 with it and
-    ``persist.compute_barcode`` reduces with it.
+    or antiparallel) edge; :func:`faces` applies it.
     """
     sides: dict[tuple[VertexId, VertexId], tuple[int, int]] = {}
     for j, (tail, head) in enumerate(edges):
         sides.setdefault((tail, head), (j, 1))
         sides.setdefault((head, tail), (j, -1))
     return sides
+
+
+def faces(sides: Mapping, triangle: tuple) -> tuple[tuple[int, int], ...]:
+    """Triangle (a, b, c)'s faces b->c, c->a, a->b (face i omits vertex i),
+    each resolved by ``sides``, from :func:`side_edges`, to (edge index, sign).
+    A missing side is named in the order a->b, b->c, c->a."""
+    a, b, c = triangle
+    try:
+        return sides[b, c], sides[c, a], sides[a, b]
+    except KeyError:
+        side = next(s for s in ((a, b), (b, c), (c, a)) if s not in sides)
+        raise CyclosError(f"triangle side {side!r} has no matching edge") from None
 
 
 def _integer_boundary(chain: Chain1, complex_: ChainComplex):

@@ -14,7 +14,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NoPeakError, PreconditionError, TableError, is_finite, is_int
+from .errors import (
+    ConfigError, NoPeakError, PreconditionError, TableError, is_finite, is_int, malformed,
+)
 from .persist import Barcode, Filtration, FiltrationStep, compute_barcode
 
 GAZE_CLOSURE_TOL = 1e-9
@@ -83,8 +85,9 @@ class AccumulatorConfig:
     bandwidth: float = 1.0  # gaussian sigma, in parameter-space units
 
     def __post_init__(self):
-        nx, ny = self.shape
-        xmin, xmax, ymin, ymax = self.extent
+        with malformed("accumulator grid", ConfigError):  # not four bounds and two sizes
+            nx, ny = self.shape
+            xmin, xmax, ymin, ymax = self.extent
         if not all(is_finite(v) for v in self.extent):
             raise ConfigError(f"accumulator extent must be finite, got {self.extent!r}")
         if not (is_int(nx) and is_int(ny)):

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ClosureError, ConfigError, CyclosError, is_finite, malformed
+from .errors import ClosureError, ConfigError, CyclosError, is_finite, is_int, malformed
 from .phasecode import Oscillator, circular_distance, winding_number, wrap_time
 
 TWO_PI = 2.0 * math.pi
@@ -249,12 +249,16 @@ def place_field_map(
     another at a shared theta instant) score near (sum of weights) * delta/pi;
     the mask thresholds at cfg.threshold.
     """
-    nx, ny = resolution
+    with malformed("place-field grid", ConfigError):  # not two sizes and four bounds
+        nx, ny = resolution
+        xmin, xmax, ymin, ymax = region
+    if not (is_int(nx) and is_int(ny) and all(map(is_finite, region))):
+        raise ConfigError(f"resolution must be two integers and region four finite numbers, "
+                          f"got {resolution!r} and {region!r}")
     if nx < 8 or ny < 8:
         raise ConfigError("resolution must be at least 8x8")
     if len(cfg.weights) != len(cells):
         raise ConfigError("one weight per grid cell required")
-    xmin, xmax, ymin, ymax = region
     xs = [xmin + (ix + 0.5) * (xmax - xmin) / nx for ix in range(nx)]
     ys = [ymin + (iy + 0.5) * (ymax - ymin) / ny for iy in range(ny)]
     flat = _gated_values(cfg, cells, [(x, y) for y in ys for x in xs])

@@ -27,8 +27,10 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if not all(is_finite(c) for c in self.center):
-            raise CyclosError(f"obstacle center must be finite, got {self.center!r}")
+        with malformed("obstacle center"):
+            if not (len(self.center) == 2 and all(map(is_finite, self.center))):
+                raise CyclosError(f"obstacle center must be two finite numbers, "
+                                  f"got {self.center!r}")
         if not (is_finite(self.radius) and self.radius > 0):
             raise CyclosError(f"obstacle radius must be finite and positive, got {self.radius!r}")
 
@@ -217,7 +219,9 @@ def order_invariance_check(
     excluded; the check passes iff every valid ordering yields one winding
     vector.
     """
-    if not all(is_int(i) and 0 <= i < len(moveset) for order in orderings for i in order):
+    with malformed("orderings", PreconditionError):  # an ordering that is not a sequence
+        valid = all(is_int(i) and 0 <= i < len(moveset) for order in orderings for i in order)
+    if not valid:
         raise PreconditionError(f"orderings must hold move indices 0..{len(moveset) - 1}")
     results = []
     vectors = []

@@ -5,9 +5,9 @@ filtration of its grid and reads the dim-0 bars of :func:`compute_barcode`.
 H0 runs on ``chaincore.UnionFind`` with the elder rule (ties broken by lower
 vertex id); H1 deaths come from standard column reduction of the triangle
 columns (Zomorodian & Carlsson, "Computing persistent homology", 2005).
-Triangle sides resolve to edges by ``chaincore.side_edges``, the rule
-``ChainComplex`` builds boundary2 with, so the barcode reduces the boundary
-matrix of ``Filtration.complex_at``, but over GF(2), while ``chaincore``'s
+Each triangle column is the triangle's ``chaincore.faces``, the rule
+``ChainComplex.boundary2`` is built with, so the barcode reduces the
+boundary of ``Filtration.complex_at``, but over GF(2), while ``chaincore``'s
 ``betti`` and homology classes reduce over the rationals. The two disagree
 when H1 has 2-torsion: on the 6-vertex triangulation of RP^2 one H1 bar never
 dies, yet ``betti(complex_at(2), 1)`` is 0.
@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .chaincore import ChainComplex, UnionFind, side_edges
+from .chaincore import ChainComplex, UnionFind, faces, side_edges
 from .errors import CyclosError, FiltrationError, MonotonicityError, malformed
 
 INF = math.inf
@@ -213,10 +213,9 @@ def compute_barcode(filtration: Filtration) -> Barcode:
                 # edges are positioned in step order, as in complex_at; validation
                 # puts the lowest-index edge of every triangle side before the triangle
                 sides = side_edges([s.simplex for s in filtration.steps if s.kind == "edge"])
-            a, b, c = step.simplex
             column: set[int] = set()
-            for side in ((a, b), (b, c), (c, a)):
-                column ^= {sides[side][0]}
+            for edge, _ in faces(sides, step.simplex):
+                column ^= {edge}
             while column:
                 low = max(column)
                 if low in low_owner:

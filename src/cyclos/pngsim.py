@@ -11,8 +11,9 @@ post therefore sees post - pre = conduction delay > 0 and potentiates. The
 rule lives inside `simulate`'s event loop: a pairing with post - pre = dt
 adds `a_plus * exp(-dt / tau_plus)` when dt > 0, `-a_minus * exp(dt /
 tau_minus)` when dt < 0 and nothing at coincidence, and the weight is then
-clamped to [0, w_max] (Izhikevich, "Polychronization: computation with
-spikes", Neural Comput. 2006).
+clamped to [0, net.w_max], the range `DelayNetwork` checks weights against
+(Izhikevich, "Polychronization: computation with spikes", Neural Comput.
+2006).
 
 Buffer-order invariant: stimulus times, delays and the horizon are checked
 finite (a NaN would break the total order), and each arrival lands a positive
@@ -32,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import ConfigError, is_finite, is_int, malformed
+from .errors import ConfigError, is_finite, is_int, is_real, malformed
 
 DEFAULT_MAX_CYCLE_LEN = 8
 
@@ -62,18 +63,20 @@ class DelayNetwork:
     def __post_init__(self):
         if not (is_int(self.neuron_count) and is_int(self.k)):
             raise ConfigError(f"non-integer neuron count or k: {self.neuron_count!r}, {self.k!r}")
-        if self.neuron_count < 0 or self.k < 1 or not self.delta > 0 or not self.refractory >= 0:
-            raise ConfigError("invalid network parameters")  # the negated tests reject NaN
         # an infinite refractory period makes -inf + inf = NaN for a neuron that never fired
-        if not (is_finite(self.threshold) and is_finite(self.refractory)):
-            raise ConfigError(f"firing threshold and refractory period must be finite, got "
-                              f"{self.threshold!r} and {self.refractory!r}")
+        if not all(map(is_finite, (self.delta, self.threshold, self.refractory, self.w_max))):
+            raise ConfigError(f"window, threshold, refractory period and weight ceiling must be "
+                              f"finite, got {self.delta!r}, {self.threshold!r}, "
+                              f"{self.refractory!r} and {self.w_max!r}")
+        if (self.neuron_count < 0 or self.k < 1 or self.delta <= 0 or self.refractory < 0
+                or self.w_max <= 0):
+            raise ConfigError("invalid network parameters")
         for idx, syn in enumerate(self.synapses):
             if not (0 <= syn.pre < self.neuron_count and 0 <= syn.post < self.neuron_count):
                 raise ConfigError(f"synapse {idx} references unknown neuron")
             if not (is_finite(syn.delay) and syn.delay > 0):
                 raise ConfigError(f"synapse {idx} delay must be finite and > 0")
-            if not (0.0 <= syn.weight <= self.w_max):
+            if not (is_real(syn.weight) and 0.0 <= syn.weight <= self.w_max):
                 raise ConfigError(f"synapse {idx} weight outside [0, {self.w_max}]")
 
     def to_json_obj(self) -> dict:
@@ -107,14 +110,12 @@ class STDPParams:
     a_minus: float
     tau_plus: float  # ms
     tau_minus: float  # ms
-    w_max: float = 1.0
 
     def __post_init__(self):
-        values = (self.a_plus, self.a_minus, self.tau_plus, self.tau_minus, self.w_max)
+        values = (self.a_plus, self.a_minus, self.tau_plus, self.tau_minus)
         if not all(map(is_finite, values)):
             raise ConfigError(f"STDP parameters must be finite, got {values!r}")
-        if (self.a_plus < 0 or self.a_minus < 0 or self.tau_plus <= 0 or self.tau_minus <= 0
-                or self.w_max <= 0):
+        if self.a_plus < 0 or self.a_minus < 0 or self.tau_plus <= 0 or self.tau_minus <= 0:
             raise ConfigError(f"invalid STDP parameters {values!r}")
 
 
@@ -176,18 +177,20 @@ def simulate(
 
     if stdp is not None:
         a_plus, a_minus = stdp.a_plus, stdp.a_minus
-        tau_plus, tau_minus, w_max = stdp.tau_plus, stdp.tau_minus, stdp.w_max
+        tau_plus, tau_minus, w_max = stdp.tau_plus, stdp.tau_minus, net.w_max
     exp, heappush, heappop, never = math.exp, heapq.heappush, heapq.heappop, -math.inf
 
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-    for neuron, t in sorted(stimuli, key=lambda s: (s[1], s[0])):
-        if not (is_int(neuron) and 0 <= neuron < count):
-            raise ConfigError(f"stimulus targets unknown neuron {neuron!r}")
-        if not is_finite(t):
-            raise ConfigError(f"stimulus time must be finite, got {t!r}")
-        heappush(heap, (float(t), neuron, _STIMULUS, seq))
-        seq += 1
+    checked = []
+    with malformed("stimulus", ConfigError):  # a stimulus that is not a pair
+        for neuron, t in stimuli:
+            if not (is_int(neuron) and 0 <= neuron < count):
+                raise ConfigError(f"stimulus targets unknown neuron {neuron!r}")
+            if not is_finite(t):
+                raise ConfigError(f"stimulus time must be finite, got {t!r}")
+            checked.append((float(t), neuron))
+    # a sorted list is a heap
+    heap = [(t, neuron, _STIMULUS, seq) for seq, (t, neuron) in enumerate(sorted(checked))]
+    seq = len(heap)
     # event times lie between the earliest stimulus and the horizon; a delay of
     # more than half an ulp there lands each arrival strictly after its spike
     reach = max(abs(heap[0][0]), horizon) if heap else 0.0
@@ -376,18 +379,22 @@ def order_invariant_readout(
     """
     if not routes:
         raise ConfigError("need at least one route")
+    if not (is_finite(within) and within >= 0):
+        raise ConfigError(f"permutation span must be finite and >= 0, got {within!r}")
     if within > net.delta:
         raise ConfigError("permutation span must fit inside the coincidence window")
     chains = []
     for route in routes:
+        with malformed("route", ConfigError):  # a route that is not a sequence
+            route = tuple(route)
         if not route:
             raise ConfigError("empty route")
-        if any(not (0 <= s < len(net.synapses)) for s in route):
+        if any(not (is_int(s) and 0 <= s < len(net.synapses)) for s in route):
             raise ConfigError("route references unknown synapse")
         for a, b in zip(route, route[1:]):
             if net.synapses[a].post != net.synapses[b].pre:
                 raise ConfigError("route synapses do not chain")
-        chains.append(tuple(route))
+        chains.append(route)
     targets = {net.synapses[r[-1]].post for r in chains}
     if len(targets) != 1:
         raise ConfigError("routes do not converge on a single neuron")

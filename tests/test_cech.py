@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cyclos import chaincore
+from cyclos import cech, chaincore
 from cyclos.cech import (
     ColimitElement,
     CosheafData,
@@ -220,6 +220,43 @@ def test_cocycle_class_rejects_an_open_cochain():
     omega[nerve.edges[0]] = 1.0
     with pytest.raises(ClosureError):
         cocycle_class(omega, nerve)
+
+
+def test_cocycle_class_reads_triangles_in_either_orientation():
+    # triangles written (j, i, k), so the side j -> i runs against its nerve edge
+    nerve = build_nerve(arc_cover(7))
+    flipped = chaincore.ChainComplex(nerve.vertices, nerve.edges,
+                                     [(b, a, c) for a, b, c in nerve.triangles])
+    omega = closed_cochain(np.random.default_rng(3), nerve)
+    assert cocycle_class(omega, flipped) == cocycle_class(omega, nerve)
+    with pytest.raises(ClosureError):
+        cocycle_class({**omega, nerve.edges[0]: omega[nerve.edges[0]] + 1.0}, flipped)
+
+
+@st.composite
+def nerves_with_values(draw):
+    """Edges (i, j) with i < j in a drawn order, every triangle i < j < k they
+    span, and one value per edge, half of them signed zeros."""
+    n = draw(st.integers(3, 6))
+    pairs = draw(st.permutations(list(itertools.combinations(range(n), 2))))
+    edges = [e for e in pairs if draw(st.booleans())]
+    triangles = [(a, b, c) for a, b, c in itertools.combinations(range(n), 3)
+                 if {(a, b), (b, c), (a, c)} <= set(edges)]
+    value = st.sampled_from([0.0, -0.0]) | st.floats()
+    values = draw(st.lists(value, min_size=len(edges), max_size=len(edges)))
+    return chaincore.ChainComplex(range(n), edges, triangles), values
+
+
+@settings(max_examples=300, deadline=None)
+@given(nerves_with_values())
+# -0.0 - 0.0 + -0.0 is -0.0, but sum() of those three terms is 0.0
+@example((chaincore.ChainComplex(range(3), [(0, 1), (1, 2), (0, 2)], [(0, 1, 2)]),
+          [-0.0, -0.0, 0.0]))
+def test_coboundary_matches_the_spelled_out_formula_to_the_bit(case):
+    nerve, values = case
+    omega = dict(zip(nerve.edges, values))
+    want = [omega[(b, c)] - omega[(a, c)] + omega[(a, b)] for a, b, c in nerve.triangles]
+    assert list(map(repr, cech._coboundary(values, nerve))) == list(map(repr, want))
 
 
 I2 = np.eye(DIM)

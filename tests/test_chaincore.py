@@ -6,6 +6,7 @@ Rank/dimension expectations are checked against an independent numpy oracle
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -33,10 +34,33 @@ def cycle_basis(cx):
     return [cx.fundamental_cycle(j) for j in cx._nontree_edges]
 
 
+def incidence(cx):
+    """Dense vertex-by-edge boundary1 matrix, built from the simplex lists."""
+    index = {v: i for i, v in enumerate(cx.vertices)}
+    mat = np.zeros((len(cx.vertices), len(cx.edges)), dtype=int)
+    for j, (tail, head) in enumerate(cx.edges):
+        mat[index[head], j] += 1
+        mat[index[tail], j] -= 1
+    return mat
+
+
+def dense_boundary2(cx):
+    """Dense edge-by-triangle matrix of the complex's sparse boundary2."""
+    mat = np.zeros((len(cx.edges), len(cx.triangles)), dtype=int)
+    for t, faces in enumerate(cx.boundary2):
+        for j, sign in faces:
+            mat[j, t] += sign
+    return mat
+
+
+def triangle_boundary(cx, t):
+    """Boundary of triangle t as a 1-chain."""
+    return Chain1.from_dict(dict(enumerate(dense_boundary2(cx)[:, t].tolist())))
+
+
 def dd(cx):
     """The dense product boundary1 . boundary2 as a vertex-by-triangle array."""
-    d1 = np.array(cx.boundary1, dtype=int).reshape(len(cx.vertices), len(cx.edges))
-    return d1 @ np.array(cx.boundary2, dtype=int).reshape(len(cx.edges), len(cx.triangles))
+    return incidence(cx) @ dense_boundary2(cx)
 
 
 def same_class(z1, z2, cx):
@@ -92,19 +116,28 @@ def two_complex_parts(draw, max_vertices=4):
     return list(range(n)), edges, triangles
 
 
+def reference_side(edges, tail, head):
+    """(edge index, sign) of the lowest-index edge matching a side up to
+    orientation, found by scanning the edge list; None if there is none."""
+    for k, edge in enumerate(edges):
+        if edge in ((tail, head), (head, tail)):
+            return k, 1 if edge == (tail, head) else -1
+    return None
+
+
 def reference_boundary2(edges, triangles):
-    """Boundary2 resolving each triangle side by scanning the edge list for the
-    lowest-index edge matching it up to orientation; None if a side is missing."""
-    mat = [[0] * len(triangles) for _ in edges]
-    for j, (a, b, c) in enumerate(triangles):
-        for tail, head in ((a, b), (b, c), (c, a)):
-            for k, edge in enumerate(edges):
-                if edge in ((tail, head), (head, tail)):
-                    mat[k][j] += 1 if edge == (tail, head) else -1
-                    break
-            else:
-                return None
-    return mat
+    """Each triangle's faces b->c, c->a, a->b resolved by ``reference_side``;
+    None if a side has no edge."""
+    out = tuple(tuple(reference_side(edges, *side) for side in ((b, c), (c, a), (a, b)))
+                for a, b, c in triangles)
+    return None if any(None in faces for faces in out) else out
+
+
+def first_missing_side(edges, triangles):
+    """The first side with no edge, in triangle order and in the order a->b,
+    b->c, c->a within a triangle."""
+    return next(side for a, b, c in triangles for side in ((a, b), (b, c), (c, a))
+                if reference_side(edges, *side) is None)
 
 
 def reference_boundary1(chain, cx):
@@ -141,10 +174,8 @@ def reference_project_to_cycles(chain, cx):
 
 def betti_oracle(cx):
     """Betti numbers from numpy float ranks, independent of ratlin."""
-    b1m = np.array(cx.boundary1, dtype=float)
-    b2m = np.array(cx.boundary2, dtype=float)
-    rank1 = np.linalg.matrix_rank(b1m) if cx.edges else 0
-    rank2 = np.linalg.matrix_rank(b2m) if cx.triangles else 0
+    rank1 = np.linalg.matrix_rank(incidence(cx).astype(float)) if cx.edges else 0
+    rank2 = np.linalg.matrix_rank(dense_boundary2(cx).astype(float)) if cx.triangles else 0
     beta0 = len(cx.vertices) - rank1
     beta1 = len(cx.edges) - rank1 - rank2
     return int(beta0), int(beta1)
@@ -198,7 +229,9 @@ class TestDDZero:
         vertices, edges, triangles = parts
         expected = reference_boundary2(edges, triangles)
         if expected is None:
-            with pytest.raises(CyclosError):
+            side = first_missing_side(edges, triangles)
+            message = f"^triangle side {re.escape(repr(side))} has no matching edge$"
+            with pytest.raises(CyclosError, match=message):
                 ChainComplex(vertices, edges, triangles)
         else:
             assert ChainComplex(vertices, edges, triangles).boundary2 == expected
@@ -222,15 +255,13 @@ class TestConstruction:
         with pytest.raises(CyclosError):
             ChainComplex([0, 1, 2], edges, triangles)
 
-    def test_triangle_free_boundary2_is_built_on_first_access(self):
-        cx = ChainComplex([0, 1, 2], [(0, 1), (1, 2), (0, 1)])
-        assert "boundary2" not in cx.__dict__
-        assert cx.boundary2 == [[]] * 3
-        assert "boundary2" in cx.__dict__
+    def test_triangle_free_boundary2_is_empty(self):
+        assert ChainComplex([0, 1, 2], [(0, 1), (1, 2), (0, 1)]).boundary2 == ()
 
     def test_triangles_resolve_at_construction(self):
-        assert "boundary2" in triangle_complex(filled=True).__dict__
-        with pytest.raises(CyclosError, match="has no matching edge"):
+        # faces b->c, c->a, a->b of (0, 1, 2) on edges 0->1, 1->2, 2->0
+        assert triangle_complex(filled=True).boundary2 == (((1, 1), (2, 1), (0, 1)),)
+        with pytest.raises(CyclosError, match=r"^triangle side \(2, 0\) has no matching edge$"):
             ChainComplex([0, 1, 2], [(0, 1), (1, 2)], [(0, 1, 2)])
 
 
@@ -239,13 +270,13 @@ class TestCycleSpace:
         cx = triangle_complex()
         basis = cycle_basis(cx)
         # oracle: dim ker = |E| - rank(d1)
-        expected = len(cx.edges) - np.linalg.matrix_rank(np.array(cx.boundary1, dtype=float))
+        expected = len(cx.edges) - np.linalg.matrix_rank(incidence(cx).astype(float))
         assert len(basis) == expected == 1
 
     def test_theta_graph_has_two(self):
         cx = theta_graph()
         basis = cycle_basis(cx)
-        expected = len(cx.edges) - np.linalg.matrix_rank(np.array(cx.boundary1, dtype=float))
+        expected = len(cx.edges) - np.linalg.matrix_rank(incidence(cx).astype(float))
         assert len(basis) == expected == 2
 
     def test_tree_is_acyclic(self):
@@ -307,7 +338,7 @@ class TestProjection:
             chain_dict = {rng.randrange(len(cx.edges)): rng.randint(-3, 3) for _ in range(4)}
             proj = chaincore.project_to_cycles(Chain1.from_dict(chain_dict), cx)
             # numpy oracle: project onto null space of d1 via SVD
-            d1 = np.array(cx.boundary1, dtype=float)
+            d1 = incidence(cx).astype(float)
             c = np.zeros(len(cx.edges))
             for idx, val in chain_dict.items():
                 c[idx] += val
@@ -363,10 +394,7 @@ class TestHomology:
             [(0, 1, 2), (0, 2, 3)],
         )
         z = Chain1.from_dict({0: 1, 1: 1, 2: 1, 3: 1})
-        t_boundary = Chain1.from_dict(
-            {j: cx.boundary2[j][0] for j in range(len(cx.edges))}
-        )
-        assert same_class(z, z + t_boundary, cx)
+        assert same_class(z, z + triangle_boundary(cx, 0), cx)
 
     def test_reversal_negates_class(self):
         cx = triangle_complex()
@@ -413,8 +441,7 @@ class TestHomology:
             assert same_class(z, z, cx)
             if cx.triangles:
                 t = rng.randrange(len(cx.triangles))
-                img = Chain1.from_dict({j: cx.boundary2[j][t] for j in range(len(cx.edges))})
-                assert same_class(z, z + img, cx)
+                assert same_class(z, z + triangle_boundary(cx, t), cx)
 
 
 class TestBetti:

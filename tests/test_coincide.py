@@ -13,6 +13,7 @@ from cyclos.coincide import CoincidenceWindow, SpikeTrain
 from cyclos.errors import MalformedChainError, PreconditionError, WindowError
 from cyclos.persist import compute_barcode, window_filtration
 from cyclos.phasecode import Oscillator, circular_distance, wrap_time
+from test_chaincore import incidence
 
 OSC = Oscillator(8.0)  # 0.125 s period
 TWO_PI = 2 * math.pi
@@ -262,7 +263,7 @@ class TestCoincidencePersistence:
             barcode = coincide.coincidence_persistence(train, OSC, deltas)
             for delta in deltas:
                 graph = coincide.closed_part(train, OSC, CoincidenceWindow(delta)).graph
-                d1 = np.array(graph.boundary1, dtype=float)
+                d1 = incidence(graph).astype(float)
                 rank1 = np.linalg.matrix_rank(d1) if graph.edges else 0
                 beta0 = len(graph.vertices) - rank1
                 beta1 = len(graph.edges) - rank1

@@ -11,11 +11,13 @@ from cyclos.chaincore import Chain1, ChainComplex
 from cyclos.coincide import SpikeTrain
 from cyclos.errors import CyclosError
 from cyclos.ght import AccumulatorConfig, Feature, GazeTransform, ModelTable, accumulate
-from cyclos.gridplace import GridCell, PlaceCellConfig, Trajectory2D
+from cyclos.gridplace import GridCell, PlaceCellConfig, Trajectory2D, place_field_map
 from cyclos.nav import Disk, Move, Workspace, order_invariance_check
 from cyclos.persist import Bar, Barcode, Filtration
 from cyclos.phasecode import Oscillator, winding_number
-from cyclos.pngsim import DelayNetwork, STDPParams, Synapse, find_resonant_cycles, simulate
+from cyclos.pngsim import (
+    DelayNetwork, STDPParams, Synapse, find_resonant_cycles, order_invariant_readout, simulate,
+)
 
 LOADERS = (
     Chain1.from_json_obj,
@@ -158,6 +160,12 @@ def homing_orderings(orderings):
     return order_invariance_check([lap], orderings, Workspace((), (0.0, 0.0)))
 
 
+def stripe_field(region, resolution):
+    """The place-field map of one grid cell."""
+    return place_field_map(PlaceCellConfig((1.0,), 0.5), [GridCell((2 * math.pi, 0.0))],
+                           Oscillator(8.0), region, resolution)
+
+
 class TestErrorContract:
     """Each row used to raise KeyError, IndexError, TypeError, ValueError or
     ZeroDivisionError, or to pass silently, instead of raising a CyclosError."""
@@ -190,6 +198,28 @@ class TestErrorContract:
         pytest.param(lambda: Move(((0.0, 0.0), (1.0, 0.0, 2.0))), id="move-three-coordinate-point"),
         pytest.param(lambda: homing_orderings([[0], [5]]), id="ordering-index-out-of-range"),
         pytest.param(lambda: homing_orderings([[0], [-1]]), id="ordering-negative-index"),
+        pytest.param(lambda: homing_orderings([3]), id="ordering-not-a-sequence"),
+        pytest.param(lambda: Disk((0.0, 0.0, 0.0), 1.0), id="disk-three-coordinate-center"),
+        pytest.param(lambda: stripe_field((0.0, 1.0, 0.0, 1.0), (8.5, 8)),
+                     id="place-field-fractional-resolution"),
+        pytest.param(lambda: simulate(two_cycle(), [(0,)], 20.0),
+                     id="simulate-one-element-stimulus"),
+        pytest.param(lambda: simulate(two_cycle(), [(0, 0.0), (1, "x")], 20.0),
+                     id="simulate-string-time"),
+        pytest.param(lambda: order_invariant_readout(two_cycle(), [[0.0]], 0.5),
+                     id="readout-float-synapse-index"),
+        pytest.param(lambda: order_invariant_readout(two_cycle(), [[0]], -0.5),
+                     id="readout-negative-span"),
+        pytest.param(lambda: order_invariant_readout(two_cycle(), [1], 0.5),
+                     id="readout-route-not-a-sequence"),
+        pytest.param(lambda: DelayNetwork(2, (Synapse(0, 1, "x", 1.0),), 1.0),
+                     id="network-string-weight"),
+        pytest.param(lambda: DelayNetwork(2, (), 1.0, w_max=0.0), id="network-zero-w-max"),
+        pytest.param(lambda: DelayNetwork(2, (), 1.0, w_max=-1.0), id="network-negative-w-max"),
+        pytest.param(lambda: AccumulatorConfig((0.0, 1.0, 0.0, 1.0), (4,)),
+                     id="accumulator-one-size-shape"),
+        pytest.param(lambda: AccumulatorConfig((0.0, 1.0, 0.0), (4, 4)),
+                     id="accumulator-three-bound-extent"),
         pytest.param(lambda: GridCell((math.nan, 1.0)), id="grid-cell-nan-wavevector"),
         pytest.param(lambda: GridCell(("a", 1.0)), id="grid-cell-string-wavevector"),
         pytest.param(lambda: PlaceCellConfig((1.0, math.nan), 0.1), id="place-config-nan-weight"),
@@ -253,8 +283,13 @@ class TestNonFiniteInputs:
         pytest.param(lambda: STDPParams(0.1, math.nan, 10.0, 10.0), id="stdp-nan-a-minus"),
         pytest.param(lambda: STDPParams(0.1, 0.1, math.nan, 10.0), id="stdp-nan-tau-plus"),
         pytest.param(lambda: STDPParams(0.1, 0.1, 10.0, math.inf), id="stdp-inf-tau-minus"),
-        pytest.param(lambda: STDPParams(0.1, 0.1, 10.0, 10.0, math.nan), id="stdp-nan-w-max"),
-        pytest.param(lambda: STDPParams(0.1, 0.1, 10.0, 10.0, -1.0), id="stdp-negative-w-max"),
+        pytest.param(lambda: DelayNetwork(2, (), 1.0, w_max=math.nan), id="network-nan-w-max"),
+        pytest.param(lambda: DelayNetwork(2, (), 1.0, w_max=math.inf), id="network-inf-w-max"),
+        pytest.param(lambda: DelayNetwork(2, (), math.inf), id="network-inf-window"),
+        pytest.param(lambda: stripe_field((math.nan, 1.0, 0.0, 1.0), (8, 8)),
+                     id="place-field-nan-region"),
+        pytest.param(lambda: stripe_field((0.0, math.inf, 0.0, 1.0), (8, 8)),
+                     id="place-field-inf-region"),
     ])
     def test_rejected_with_cyclos_error(self, build):
         with pytest.raises(CyclosError):

@@ -23,15 +23,14 @@ from cyclos.persist import (
     _id_sort_key,
     _simplex_sort_key,
 )
+from test_chaincore import dense_boundary2, incidence
 
 INF = math.inf
 
 
 def betti_oracle(cx):
-    b1m = np.array(cx.boundary1, dtype=float)
-    b2m = np.array(cx.boundary2, dtype=float)
-    rank1 = np.linalg.matrix_rank(b1m) if cx.edges else 0
-    rank2 = np.linalg.matrix_rank(b2m) if cx.triangles else 0
+    rank1 = np.linalg.matrix_rank(incidence(cx).astype(float)) if cx.edges else 0
+    rank2 = np.linalg.matrix_rank(dense_boundary2(cx).astype(float)) if cx.triangles else 0
     return len(cx.vertices) - rank1, len(cx.edges) - rank1 - rank2
 
 
@@ -232,8 +231,8 @@ def persistent_betti1(filt, s, t):
     of B1(K_t) that vanishes on the later rows.
     """
     ks, kt = filt.complex_at(s), filt.complex_at(t)
-    d1 = np.array(ks.boundary1, dtype=float).reshape(len(ks.vertices), len(ks.edges))
-    d2 = np.array(kt.boundary2, dtype=float).reshape(len(kt.edges), len(kt.triangles))
+    d1 = incidence(ks).astype(float)
+    d2 = dense_boundary2(kt).astype(float)
     cycles = len(ks.edges) - _rank(d1)
     return cycles - (_rank(d2) - _rank(d2[len(ks.edges):]))
 

@@ -143,15 +143,23 @@ class TestStdpDelta:
     def test_weights_stay_clipped_during_simulation(self):
         delays = [10.0, 12.0, 11.0]
         net = ring_network(delays, weights=[0.95, 0.95, 0.95])
-        stdp = STDPParams(0.2, 0.2, 20.0, 20.0, w_max=1.0)
+        stdp = STDPParams(0.2, 0.2, 20.0, 20.0)
         log = pngsim.simulate(net, [(0, 0.0)], horizon=400.0, stdp=stdp)
         assert all(0.0 <= w <= 1.0 for w in log.final_weights)
+
+    def test_potentiation_stops_at_the_network_weight_ceiling(self):
+        # every hop potentiates, and the weights a run returns must still be
+        # ones the network's own constructor accepts
+        ring = ring_network([10.0, 12.0, 11.0], weights=[0.8, 0.8, 0.8])
+        net = DelayNetwork(3, ring.synapses, delta=ring.delta, w_max=0.8)
+        log = pngsim.simulate(net, [(0, 0.0)], horizon=300.0, stdp=STDPParams(0.2, 0.2, 20.0, 20.0))
+        assert log.final_weights == (0.8, 0.8, 0.8)
 
     def test_on_cycle_weights_potentiate(self):
         # repeated traversal of the ring puts every hop pre-before-post
         delays = [10.0, 12.0, 11.0]
         net = ring_network(delays, weights=[0.7, 0.7, 0.7])
-        stdp = STDPParams(0.05, 0.05, 20.0, 20.0, w_max=1.0)
+        stdp = STDPParams(0.05, 0.05, 20.0, 20.0)
         log = pngsim.simulate(net, [(0, 0.0)], horizon=300.0, stdp=stdp)
         assert all(w > 0.7 for w in log.final_weights)
 
@@ -260,6 +268,10 @@ class TestOrderInvariantReadout:
         with pytest.raises(ConfigError):
             pngsim.order_invariant_readout(net, [[0], [1]], within=9.0)
 
+    def test_nan_span_rejected_before_it_reaches_the_horizon(self):
+        with pytest.raises(ConfigError, match="^permutation span must be finite"):
+            pngsim.order_invariant_readout(self._convergent_net(2), [[0], [1]], within=math.nan)
+
     def test_non_converging_routes_rejected(self):
         synapses = (Synapse(0, 2, 0.9, 5.0), Synapse(1, 3, 0.9, 5.0))
         net = DelayNetwork(4, synapses, delta=4.0)
@@ -313,7 +325,7 @@ def reference_simulate(net, stimuli, horizon, stdp=None):
                 if arrival > -math.inf:
                     pre_spike = arrival - net.synapses[syn_idx].delay
                     w = weights[syn_idx] + reference_stdp_delta(pre_spike, t, stdp)
-                    weights[syn_idx] = min(max(w, 0.0), stdp.w_max)
+                    weights[syn_idx] = min(max(w, 0.0), net.w_max)
         for syn_idx in outgoing.get(neuron, ()):
             arrival_t = t + net.synapses[syn_idx].delay
             if arrival_t <= horizon:
@@ -332,7 +344,7 @@ def reference_simulate(net, stimuli, horizon, stdp=None):
         if stdp is not None and last_spike[neuron] > -math.inf:
             pre_spike = t - net.synapses[syn_idx].delay
             w = weights[syn_idx] + reference_stdp_delta(pre_spike, last_spike[neuron], stdp)
-            weights[syn_idx] = min(max(w, 0.0), stdp.w_max)
+            weights[syn_idx] = min(max(w, 0.0), net.w_max)
         window = [(at, w) for at, w in buffers[neuron] if at >= t - net.delta]
         window.append((t, weights[syn_idx]))
         buffers[neuron] = window
@@ -359,23 +371,27 @@ DECIMAL_WEIGHTS = st.sampled_from([0.1, 0.2, 0.3, 0.7])
 def networks_and_stimuli(draw):
     count = draw(st.integers(1, 5))
     neuron = st.integers(0, count - 1)
+    w_max = draw(st.just(1.0) | DECIMAL_WEIGHTS | st.floats(0.05, 1))
     synapses = tuple(
-        # -0.0 weights tell the clamp and the zero change at coincidence apart by sign
+        # -0.0 weights tell the clamp and the zero change at coincidence apart by
+        # sign; weights at the ceiling cross it at the first potentiation
         Synapse(draw(neuron), draw(neuron),
-                draw(DECIMAL_WEIGHTS | st.just(-0.0) | st.floats(0, 1)),
+                min(draw(DECIMAL_WEIGHTS | st.just(-0.0) | st.just(w_max) | st.floats(0, 1)),
+                    w_max),
                 draw(HALF_MS | st.floats(0.1, 4)))
         for _ in range(draw(st.integers(0, 10)))
     )
     net = DelayNetwork(count, synapses, delta=draw(HALF_MS | st.floats(0.1, 4)),
                        k=draw(st.integers(1, 3)), refractory=draw(HALF_MS),
                        threshold=draw(st.floats(0, 1.5)
-                                      | st.lists(DECIMAL_WEIGHTS, min_size=1, max_size=4).map(sum)))
+                                      | st.lists(DECIMAL_WEIGHTS, min_size=1, max_size=4).map(sum)),
+                       w_max=w_max)
     stimuli = draw(st.lists(st.tuples(neuron, st.integers(0, 20).map(lambda k: k * 0.5)),
                             max_size=8))
-    # zero amplitudes and w_max below the weights reach both edges of the clamp
+    # depression below 0 and potentiation past w_max reach both edges of the clamp
     amplitude = st.just(0.0) | st.floats(0, 0.3)
     stdp = draw(st.none() | st.builds(STDPParams, amplitude, amplitude, st.floats(1, 30),
-                                      st.floats(1, 30), st.floats(0, 1, exclude_min=True)))
+                                      st.floats(1, 30)))
     return net, stimuli, draw(st.floats(1, 25)), stdp
 
 
