@@ -18,6 +18,7 @@ so the cocycle is computable from restrictions and open forms alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -25,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import ratlin
-from .chaincore import ChainComplex, homology_basis_cycles
+from .chaincore import ChainComplex, homology_basis_cycles, reduce_fractions
 from .errors import ClosureError, CyclosError, PreconditionError, is_int, malformed
 
 TOL = 1e-9  # gluing, colimit, naturality and closedness residuals must stay below it
@@ -179,6 +180,8 @@ class GlobalSection:
 
 def glue_sections(sheaf: SheafData, cover: Cover):
     """Assemble the global section, or report the violating overlaps."""
+    if len(sheaf.sections) != len(cover.opens):
+        raise PreconditionError(f"{len(sheaf.sections)} sections for {len(cover.opens)} opens")
     nerve = build_nerve(cover)
     mismatches = []
     for (i, j) in nerve.edges:
@@ -216,7 +219,11 @@ def _colimit_reducer(cosheaf: CosheafData, nerve: ChainComplex):
                 col[offsets[j] + r] -= Fraction(float(into_j[r, h]))
             columns.append(col)
     reduced, pivots = ratlin.rref(columns) if columns else ([], [])
-    return offsets, total, reduced[: len(pivots)], pivots
+    owners = {}  # the pivot rows as integer columns, kept at their pivots
+    for row, pc in zip(reduced, pivots):
+        den = math.lcm(*(x.denominator for x in row))
+        owners[-pc] = {-k: x.numerator * (den // x.denominator) for k, x in enumerate(row) if x}
+    return offsets, total, owners
 
 
 def cosheaf_colimit(cosheaf: CosheafData, cover: Cover):
@@ -227,15 +234,17 @@ def cosheaf_colimit(cosheaf: CosheafData, cover: Cover):
     side equals its extension into the other). Compatible plans reduce to
     one representative; mismatching reductions are reported per open pair.
     """
+    if len(cosheaf.cosections) != len(cover.opens):
+        raise PreconditionError(
+            f"{len(cosheaf.cosections)} co-sections for {len(cover.opens)} opens")
     nerve = build_nerve(cover)
-    offsets, total, rows, pivots = _colimit_reducer(cosheaf, nerve)
+    offsets, total, owners = _colimit_reducer(cosheaf, nerve)
     reduced = []
     for i, g in enumerate(cosheaf.cosections):
         vec = [Fraction(0)] * total
         for r in range(len(g)):
             vec[offsets[i] + r] = Fraction(float(g[r]))
-        red = ratlin.reduce_mod_rows(vec, rows, pivots) if rows else vec
-        reduced.append([float(x) for x in red])
+        reduced.append([float(x) for x in reduce_fractions(vec, owners)])
     mismatches = []
     for i in range(len(reduced)):
         for j in range(i + 1, len(reduced)):
@@ -359,13 +368,14 @@ def cocycle_class(omega: Mapping[Edge, float], nerve: ChainComplex) -> CocycleCl
     """
     edge_index = {edge: idx for idx, edge in enumerate(nerve.edges)}
     values = [0.0] * len(nerve.edges)
-    for edge, value in omega.items():
-        if edge in edge_index:
-            values[edge_index[edge]] = float(value)
-        elif (edge[1], edge[0]) in edge_index:
-            values[edge_index[(edge[1], edge[0])]] = -float(value)
-        else:
-            raise CyclosError(f"cochain edge {edge} not in the nerve")
+    with malformed("cochain"):  # a key that is not a pair, a value that is not a number
+        for edge, value in omega.items():
+            if edge in edge_index:
+                values[edge_index[edge]] = float(value)
+            elif (edge[1], edge[0]) in edge_index:
+                values[edge_index[(edge[1], edge[0])]] = -float(value)
+            else:
+                raise CyclosError(f"cochain edge {edge} not in the nerve")
     for triangle, residual in zip(nerve.triangles, _coboundary(values, nerve)):
         if abs(residual) >= TOL:
             raise ClosureError(

@@ -5,6 +5,7 @@ allowed), and optional oriented triangles with their :func:`faces`. Chain
 boundaries, projections and class reduction hold a chain as integer
 numerators over the lcm of its denominators and build ``Fraction``s once
 per result, so closure checks (``boundary1(z) == 0``) are exact.
+:func:`reduce_column` is the one reduction modulo a span (classes, barcodes, colimits).
 Fundamental cycles come from root paths in the lexicographic-minimum
 spanning forest. The projection onto cycles solves a vertex-sized
 graph-Laplacian system grounded at the forest roots (Lim, "Hodge Laplacians
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import ratlin
 from .errors import ClosureError, CyclosError, MalformedChainError, is_int, malformed
@@ -186,24 +187,17 @@ class ChainComplex:
         return [j for j in range(len(self.edges)) if j not in tree]
 
     @cached_property
-    def _boundary2_reducer(self) -> tuple[list[list[Fraction]], list[int]]:
-        """RREF rows and pivots spanning the boundary2 image in cycle
-        coordinates, computed on first access.
-
-        A cycle's coordinates are its coefficients on the non-tree edges
-        (:func:`homology_class`), so each row is a triangle's boundary read
-        on those edges.
-        """
-        if not self.triangles:
-            return [], []
-        position = {j: pos for pos, j in enumerate(self._nontree_edges)}
-        rows = [[0] * len(position) for _ in self.triangles]
-        for row, triangle in zip(rows, self.boundary2):
-            for j, sign in triangle:
-                if j in position:
-                    row[position[j]] += sign
-        reduced, pivots = ratlin.rref(rows)
-        return reduced[: len(pivots)], pivots
+    def _boundary2_reducer(self) -> dict[int, dict[int, int]]:
+        """Triangle boundaries in cycle coordinates (:func:`homology_class`), each
+        reduced by :func:`reduce_column` and kept at its low, non-tree edge ``p``
+        at position ``-p`` so the lows are the RREF pivots; built on first access."""
+        position = {j: -pos for pos, j in enumerate(self._nontree_edges)}
+        owners: dict[int, dict[int, int]] = {}
+        for triangle in self.boundary2:
+            column = reduce_column([(position[j], s) for j, s in triangle if j in position], owners)
+            if column:
+                owners[max(column)] = column
+        return owners
 
     # -- basic queries ---------------------------------------------------------
 
@@ -330,6 +324,35 @@ def project_to_cycles(chain: Chain1, complex_: ChainComplex) -> Chain1:
     return Chain1(tuple((j, Fraction(x, den * d)) for j, x in enumerate(out) if x))
 
 
+def reduce_column(entries: Iterable[tuple[int, int]], owners: Mapping[int, Mapping]) -> dict:
+    """Integer ``entries``, (position, entry) pairs summed per position, minus
+    multiples of the ``owners`` (low, a column's largest position -> column),
+    cross-multiplied and divided by the gcd, until zero at every owned position."""
+    column: dict[int, int] = {}
+    for k, x in entries:
+        column[k] = column.get(k, 0) + x
+    while owned := [k for k, x in column.items() if x and k in owners]:
+        low = max(owned)
+        owner, c = owners[low], column[low]
+        column = {k: x for k in column.keys() | owner.keys()
+                  if (x := owner[low] * column.get(k, 0) - c * owner.get(k, 0))}
+        g = math.gcd(*column.values())
+        column = {k: x // g for k, x in column.items()}
+    return {k: x for k, x in column.items() if x}
+
+
+def reduce_fractions(values: Sequence, owners: Mapping[int, Mapping]) -> list[Fraction]:
+    """Rational ``values``, value ``i`` at position ``-i``, reduced by :func:`reduce_column`
+    with their common denominator at position 1, which no owner has, riding along."""
+    q = [x if type(x) is Fraction else Fraction(x) for x in values]
+    if not any(q[-k] for k in owners):
+        return q
+    den = math.lcm(*(x.denominator for x in q))
+    numerators = [(-i, x.numerator * (den // x.denominator)) for i, x in enumerate(q)]
+    column = reduce_column([*numerators, (1, den)], owners)
+    return [Fraction(column.get(-i, 0), column[1]) for i in range(len(q))]
+
+
 def homology_class(cycle: Chain1, complex_: ChainComplex) -> HomologyClass1:
     """Class of a cycle. Each fundamental cycle carries exactly one non-tree
     edge, so the cycle's basis coordinates are its non-tree coefficients."""
@@ -339,16 +362,15 @@ def homology_class(cycle: Chain1, complex_: ChainComplex) -> HomologyClass1:
         raise ClosureError(f"chain is not a cycle; boundary supported on {support}")
     lookup = cycle.as_dict()
     coords = [lookup.get(j, 0) for j in complex_._nontree_edges]
-    return HomologyClass1(tuple(ratlin.reduce_mod_rows(coords, *complex_._boundary2_reducer)))
+    return HomologyClass1(tuple(reduce_fractions(coords, complex_._boundary2_reducer)))
 
 
 def homology_basis_cycles(complex_: ChainComplex) -> list[Chain1]:
     """Cycles whose classes form a basis of H1 over the rationals."""
-    pivot_set = set(complex_._boundary2_reducer[1])
     return [
         complex_.fundamental_cycle(j)
         for pos, j in enumerate(complex_._nontree_edges)
-        if pos not in pivot_set
+        if -pos not in complex_._boundary2_reducer
     ]
 
 
@@ -362,5 +384,5 @@ def betti(complex_: ChainComplex, dim: int) -> int:
     if dim == 0:
         return complex_.n_components()
     if dim == 1:
-        return len(complex_._nontree_edges) - len(complex_._boundary2_reducer[1])
+        return len(complex_._nontree_edges) - len(complex_._boundary2_reducer)
     raise CyclosError(f"unsupported dimension {dim}; only 0 and 1 are computed")

@@ -69,7 +69,7 @@ class CoincidenceWindow:
     delta: float  # radians
 
     def __post_init__(self):
-        if not (0.0 < self.delta < math.pi):
+        if not (is_finite(self.delta) and 0.0 < self.delta < math.pi):
             raise WindowError(f"coincidence window must lie in (0, pi), got {self.delta}")
 
 
@@ -278,10 +278,10 @@ def coincidence_persistence(
     """
     if not deltas:
         raise CyclosError("need at least one window value")
-    if any(b <= a for a, b in zip(deltas, deltas[1:])):
-        raise CyclosError("window values must be strictly ascending")
     for d in deltas:
         CoincidenceWindow(d)  # range validation
+    if any(b <= a for a, b in zip(deltas, deltas[1:])):
+        raise CyclosError("window values must be strictly ascending")
     kept, _ = _coincident_pairs(train, osc, deltas[-1], multiplicity_cap)
     kept.sort(key=operator.itemgetter(4))  # by phase distance: each window keeps a prefix
     distances = [d for *_, d in kept]

@@ -3,14 +3,10 @@
 This is the one H0 engine in cyclos: ``ght.peak_persistence`` builds a
 filtration of its grid and reads the dim-0 bars of :func:`compute_barcode`.
 H0 runs on ``chaincore.UnionFind`` with the elder rule (ties broken by lower
-vertex id); H1 deaths come from standard column reduction of the triangle
-columns (Zomorodian & Carlsson, "Computing persistent homology", 2005).
-Each triangle column is the triangle's ``chaincore.faces``, the rule
-``ChainComplex.boundary2`` is built with, so the barcode reduces the
-boundary of ``Filtration.complex_at``, but over GF(2), while ``chaincore``'s
-``betti`` and homology classes reduce over the rationals. The two disagree
-when H1 has 2-torsion: on the 6-vertex triangulation of RP^2 one H1 bar never
-dies, yet ``betti(complex_at(2), 1)`` is 0.
+vertex id); H1 deaths come from reducing each triangle's column, its
+``chaincore.faces`` as in ``Filtration.complex_at``'s boundary, by
+``chaincore.reduce_column``, over the rationals as ``chaincore.betti`` is
+(Zomorodian & Carlsson, "Computing persistent homology", 2005).
 
 A window ladder repeats a few hundred edges thousands of times. Sort keys
 are cached per simplex object, so callers should pass one tuple per edge
@@ -26,8 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .chaincore import ChainComplex, UnionFind, faces, side_edges
-from .errors import CyclosError, FiltrationError, MonotonicityError, malformed
+from .chaincore import ChainComplex, UnionFind, faces, reduce_column, side_edges
+from .errors import CyclosError, FiltrationError, MonotonicityError, is_real, malformed
 
 INF = math.inf
 
@@ -91,6 +87,8 @@ class Filtration:
 
     def complex_at(self, value: float) -> ChainComplex:
         """Sub-complex of all simplices with filtration value <= value."""
+        if not is_real(value) or math.isnan(value):  # NaN would keep every simplex
+            raise FiltrationError(f"a filtration is cut at a real value, got {value!r}")
         vertices, edges, triangles = [], [], []
         for step in self.steps:
             if step.value > value:
@@ -192,7 +190,7 @@ def compute_barcode(filtration: Filtration) -> Barcode:
     sides = None  # built at the first triangle
     pos = 0  # position of the next edge
     creator_edges: dict[int, float] = {}  # edge position -> birth value of its H1 class
-    low_owner: dict[int, set[int]] = {}  # pivot edge position -> reduced column (set of edge pos)
+    owners: dict[int, dict[int, int]] = {}  # low edge position -> reduced triangle column
 
     for step in filtration.steps:
         if step.kind == "vertex":
@@ -213,20 +211,11 @@ def compute_barcode(filtration: Filtration) -> Barcode:
                 # edges are positioned in step order, as in complex_at; validation
                 # puts the lowest-index edge of every triangle side before the triangle
                 sides = side_edges([s.simplex for s in filtration.steps if s.kind == "edge"])
-            column: set[int] = set()
-            for edge, _ in faces(sides, step.simplex):
-                column ^= {edge}
-            while column:
-                low = max(column)
-                if low in low_owner:
-                    column ^= low_owner[low]
-                else:
-                    break
+            column = reduce_column(faces(sides, step.simplex), owners)
             if column:
                 low = max(column)
-                low_owner[low] = column
-                birth = creator_edges.pop(low)
-                bars.append(Bar(1, birth, step.value))
+                owners[low] = column
+                bars.append(Bar(1, creator_edges.pop(low), step.value))
             # empty column: triangle creates an H2 class, out of scope
 
     roots = {uf.find(v) for v in uf.parent}
@@ -253,6 +242,8 @@ def window_filtration(graphs: Mapping[float, ChainComplex]) -> Filtration:
     """
     if not graphs:
         return Filtration([])
+    if not all(map(is_real, graphs)):
+        raise FiltrationError(f"window values must be real numbers, got {list(graphs)!r}")
     sort_key = _cached_sort_key()
     steps: list[FiltrationStep] = []
     seen_vertices: set = set()

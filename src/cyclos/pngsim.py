@@ -71,13 +71,14 @@ class DelayNetwork:
         if (self.neuron_count < 0 or self.k < 1 or self.delta <= 0 or self.refractory < 0
                 or self.w_max <= 0):
             raise ConfigError("invalid network parameters")
-        for idx, syn in enumerate(self.synapses):
-            if not (0 <= syn.pre < self.neuron_count and 0 <= syn.post < self.neuron_count):
-                raise ConfigError(f"synapse {idx} references unknown neuron")
-            if not (is_finite(syn.delay) and syn.delay > 0):
-                raise ConfigError(f"synapse {idx} delay must be finite and > 0")
-            if not (is_real(syn.weight) and 0.0 <= syn.weight <= self.w_max):
-                raise ConfigError(f"synapse {idx} weight outside [0, {self.w_max}]")
+        with malformed("synapses", ConfigError):  # not a collection of synapses
+            for idx, syn in enumerate(self.synapses):
+                if not (0 <= syn.pre < self.neuron_count and 0 <= syn.post < self.neuron_count):
+                    raise ConfigError(f"synapse {idx} references unknown neuron")
+                if not (is_finite(syn.delay) and syn.delay > 0):
+                    raise ConfigError(f"synapse {idx} delay must be finite and > 0")
+                if not (is_real(syn.weight) and 0.0 <= syn.weight <= self.w_max):
+                    raise ConfigError(f"synapse {idx} weight outside [0, {self.w_max}]")
 
     def to_json_obj(self) -> dict:
         return {

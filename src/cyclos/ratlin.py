@@ -7,8 +7,9 @@ The arithmetic runs in integers: each row is scaled by the lcm of its
 denominators (plain ints are used as they are), :func:`rref` and
 :func:`solve_gaussian` share one fraction-free elimination, and
 ``Fraction``s are built once, for the results. The RREF of a rational
-matrix, the solution of a nonsingular system and the reduction of a vector
-modulo RREF rows are unique, so they are what ``Fraction`` arithmetic gives.
+matrix and the solution of a nonsingular system are unique, so they are what
+``Fraction`` arithmetic gives. A vector is reduced modulo a span by
+``chaincore.reduce_column``, not here.
 """
 
 from __future__ import annotations
@@ -96,30 +97,3 @@ def solve_gaussian(a: Sequence[Sequence], b: Sequence) -> Row:
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("singular or inconsistent system")
     return [Fraction(row[n], row[i]) for i, row in enumerate(m)]
-
-
-def reduce_mod_rows(v: Sequence, rows: Sequence[Sequence], pivots: Sequence[int]) -> Row:
-    """Canonical representative of ``v`` modulo the span of RREF ``rows``.
-
-    Subtracting each pivot row zeroes the corresponding coordinate, which makes
-    two vectors congruent mod the span iff their reductions are equal. An RREF
-    row is zero on every other pivot column, so the coefficients are ``v``'s
-    own pivot coordinates, and ``v`` is returned as ``Fraction``s when they are
-    all zero. Otherwise ``v`` is held as integer numerators over ``den``, and
-    subtracting ``c / den`` times a row of integers over ``d`` multiplies
-    ``den`` by ``d``; the gcd of ``den`` and the numerators is divided out.
-    """
-    if not any(v[pc] for pc in pivots):
-        return [x if type(x) is Fraction else Fraction(x) for x in v]
-    num, den = _integers(v)
-    for row, pc in zip(rows, pivots):
-        c = num[pc]
-        if c:
-            row, d = _integers(row)
-            num = [d * x - c * y for x, y in zip(num, row)]
-            den *= d
-            g = math.gcd(den, *num)
-            if g > 1:
-                num = [x // g for x in num]
-                den //= g
-    return [Fraction(x, den) for x in num]

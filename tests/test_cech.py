@@ -269,6 +269,7 @@ PATH_MAPS = {(0, 1): (I2, I2), (1, 2): (I2, I2)}
 PATH_SHEAF = SheafData.build([V2] * 3, PATH_MAPS)
 PATH_COSHEAF = CosheafData.build([V2] * 3, PATH_MAPS)
 PATH_PAIRING = Pairing.build([I2] * 3, {(0, 1): I2, (1, 2): I2})
+DISJOINT_COVER = Cover(range(3), [{0}, {1}, {2}])  # a nerve with no edges
 
 
 @pytest.mark.parametrize("call", [
@@ -309,6 +310,13 @@ PATH_PAIRING = Pairing.build([I2] * 3, {(0, 1): I2, (1, 2): I2})
                  id="cocycle-nan-open-form"),
     pytest.param(lambda: Cover([0], [[[0]]]), id="cover-unhashable-point"),
     pytest.param(lambda: Cover.from_json_obj({"ground": [0]}), id="cover-json-no-opens"),
+    pytest.param(lambda: glue_sections(SheafData.build([V2], {}), DISJOINT_COVER),
+                 id="glue-fewer-sections-than-opens"),
+    pytest.param(lambda: cosheaf_colimit(CosheafData.build([V2, V2 * 0, V2], {}),
+                                         Cover([0], [{0}])),
+                 id="colimit-more-cosections-than-opens"),
+    pytest.param(lambda: cocycle_class({(0,): 1.0}, PATH_NERVE), id="cocycle-one-id-edge"),
+    pytest.param(lambda: cocycle_class({(0, 1): "x"}, PATH_NERVE), id="cocycle-string-value"),
 ])
 def test_rejected_with_cyclos_error(call):
     with pytest.raises(CyclosError):

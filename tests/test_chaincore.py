@@ -4,6 +4,7 @@ Rank/dimension expectations are checked against an independent numpy oracle
 (float SVD rank), never against the package's own rational elimination.
 """
 
+import itertools
 import math
 import random
 import re
@@ -11,12 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclos import chaincore, ratlin
 from cyclos.chaincore import Chain1, ChainComplex
 from cyclos.errors import ClosureError, CyclosError, MalformedChainError
-from test_ratlin import reference_solve_gaussian
+from test_ratlin import reference_reduce_mod_rows, reference_solve_gaussian
 
 
 def triangle_complex(filled=False):
@@ -170,6 +171,61 @@ def reference_project_to_cycles(chain, cx):
         for e, coeff in cyc.coefficients:
             out[e] = out.get(e, Fraction(0)) + x * coeff
     return Chain1.from_dict(out)
+
+
+# the 6-vertex triangulation of the real projective plane: H1 is Z/2, so 0 over Q
+RP2_TRIANGLES = [(1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
+                 (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6)]
+RP2_EDGES = sorted({e for t in RP2_TRIANGLES for e in itertools.combinations(t, 2)})
+
+
+def reference_boundary2_reducer(cx):
+    """The dense path classes were reduced by: one row per triangle over the
+    non-tree edges, put in RREF by ``ratlin.rref``; the pivot rows and pivots."""
+    position = {j: pos for pos, j in enumerate(cx._nontree_edges)}
+    rows = [[0] * len(position) for _ in cx.triangles]
+    for row, faces in zip(rows, cx.boundary2):
+        for j, sign in faces:
+            if j in position:
+                row[position[j]] += sign
+    reduced, pivots = ratlin.rref(rows)
+    return reduced[: len(pivots)], pivots
+
+
+COEFF = st.sampled_from([1, -1, 2]) | st.fractions(-4, 4, max_denominator=5)
+
+
+@st.composite
+def complexes_with_cycles(draw, max_vertices=9):
+    """Complexes on 6 or more vertices: vertex pairs joined by parallel and
+    antiparallel edges in shuffled order, triangles in any orientation on
+    vertex triples whose sides all have an edge, and rational cycles that mix
+    fundamental cycles with triangle boundaries."""
+    n = draw(st.integers(6, max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    copies = draw(st.lists(st.sampled_from(["", "", "+", "-", "++", "+-"]),
+                           min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair if c == "+" else pair[::-1] for pair, cs in zip(pairs, copies) for c in cs]
+    edges = draw(st.permutations(edges))
+    joined = {frozenset(e) for e in edges}
+    triples = [t for t in itertools.combinations(range(n), 3)
+               if all(frozenset(side) in joined for side in itertools.combinations(t, 2))]
+    # index k >= 0 draws triples[k], and ~k draws it reversed
+    drawn = draw(st.lists(st.integers(-len(triples), len(triples) - 1),
+                          max_size=3 * n)) if triples else []
+    triangles = [triples[k] if k >= 0 else triples[~k][::-1] for k in drawn]
+    cx = ChainComplex(range(n), edges, triangles)
+    generators = [cx.fundamental_cycle(j) for j in cx._nontree_edges]
+    generators += [triangle_boundary(cx, t) for t in range(len(triangles))]
+    cycles = []
+    for _ in range(draw(st.integers(1, 3)) if generators else 0):
+        z = {}
+        for g, scale in draw(st.dictionaries(st.integers(0, len(generators) - 1), COEFF,
+                                             max_size=8)).items():
+            for j, c in generators[g].coefficients:
+                z[j] = z.get(j, 0) + scale * c
+        cycles.append(Chain1.from_dict(z))
+    return cx, cycles
 
 
 def betti_oracle(cx):
@@ -416,15 +472,20 @@ class TestHomology:
 
     def test_boundary2_reduced_once_per_complex(self, monkeypatch):
         calls = []
-        rref = ratlin.rref
-        monkeypatch.setattr(ratlin, "rref", lambda a: calls.append(a) or rref(a))
+        reduce_column = chaincore.reduce_column
+        monkeypatch.setattr(chaincore, "reduce_column",
+                            lambda entries, owners: calls.append(owners) or
+                            reduce_column(entries, owners))
         # filled triangle 0-1-2 next to a hollow one 0-2-3
         cx = ChainComplex([0, 1, 2, 3], [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)], [(0, 1, 2)])
         rim = Chain1.from_dict({0: 1, 1: 1, 3: 1, 4: 1})
         assert not chaincore.homology_class(rim, cx).is_zero()
         assert chaincore.homology_class(Chain1.from_dict({0: 1, 1: 1, 2: 1}), cx).is_zero()
         assert len(chaincore.homology_basis_cycles(cx)) == chaincore.betti(cx, 1) == 1
-        assert len(calls) == 1
+        # one call per triangle while the image is built, then one for the
+        # filled loop; the rim is zero at the owned position and needs none
+        assert len(calls) == len(cx.triangles) + 1
+        assert all(owners is cx._boundary2_reducer for owners in calls)
 
     def test_non_cycle_rejected(self):
         with pytest.raises(ClosureError):
@@ -442,6 +503,25 @@ class TestHomology:
             if cx.triangles:
                 t = rng.randrange(len(cx.triangles))
                 assert same_class(z, z + triangle_boundary(cx, t), cx)
+
+
+class TestHomologyOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(complexes_with_cycles())
+    @example((ChainComplex(range(1, 7), RP2_EDGES, RP2_TRIANGLES),
+              [ChainComplex(range(1, 7), RP2_EDGES).fundamental_cycle(j) for j in (6, 14)]))
+    def test_matches_dense_rref_reduction(self, case):
+        cx, cycles = case
+        rows, pivots = reference_boundary2_reducer(cx)
+        nontree = cx._nontree_edges
+        assert chaincore.betti(cx, 1) == len(nontree) - len(pivots) == betti_oracle(cx)[1]
+        assert chaincore.homology_basis_cycles(cx) == [
+            cx.fundamental_cycle(j) for pos, j in enumerate(nontree) if pos not in pivots]
+        for z in cycles:
+            coords = [z.as_dict().get(j, 0) for j in nontree]
+            got = chaincore.homology_class(z, cx).coordinates
+            assert got == tuple(reference_reduce_mod_rows(coords, rows, pivots))
+            assert all(type(x) is Fraction for x in got)
 
 
 class TestBetti:

@@ -221,6 +221,9 @@ class TestErrorContract:
         pytest.param(lambda: coincide.coincidence_persistence(cyclic_train(), OSC, [0.2, 0.35],
                                                               True),
                      PreconditionError, id="persistence-cap-bool"),
+        pytest.param(lambda: CoincidenceWindow("x"), WindowError, id="window-string-delta"),
+        pytest.param(lambda: coincide.coincidence_persistence(cyclic_train(), OSC, [0.1, "x"]),
+                     WindowError, id="persistence-string-window"),
         pytest.param(lambda: chaincore.boundary1(Chain1(((0, "1"),)), TRIANGLE),
                      MalformedChainError, id="boundary-str-coefficient"),
         pytest.param(lambda: chaincore.boundary1(Chain1(((0, None),)), TRIANGLE),

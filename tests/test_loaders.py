@@ -216,6 +216,7 @@ class TestErrorContract:
                      id="network-string-weight"),
         pytest.param(lambda: DelayNetwork(2, (), 1.0, w_max=0.0), id="network-zero-w-max"),
         pytest.param(lambda: DelayNetwork(2, (), 1.0, w_max=-1.0), id="network-negative-w-max"),
+        pytest.param(lambda: DelayNetwork(2, 5, 1.0), id="network-synapses-not-iterable"),
         pytest.param(lambda: AccumulatorConfig((0.0, 1.0, 0.0, 1.0), (4,)),
                      id="accumulator-one-size-shape"),
         pytest.param(lambda: AccumulatorConfig((0.0, 1.0, 0.0), (4, 4)),

@@ -1,19 +1,20 @@
-"""Integer elimination and reduction in ``ratlin`` against the ``Fraction``
-loops they replaced.
+"""Integer elimination in ``ratlin`` and reduction modulo a span in
+``chaincore`` against the ``Fraction`` loops they replaced.
 
 The RREF of a rational matrix is unique and both eliminations pick the
 lowest-index pivot, so ``rref`` must return exactly what the reference
 returns: the same ``Fraction`` rows, zero rows included, and the same pivots.
-A vector's reduction modulo RREF rows is unique too, so ``reduce_mod_rows``
-must return the reference's ``Fraction``s.
+A vector's reduction modulo a span, zero at the pivots, is unique too, so
+``chaincore.reduce_fractions`` must return the reference's ``Fraction``s.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from cyclos import cech, ratlin
+from cyclos import cech, chaincore, ratlin
 
 
 def reference_rref(a):
@@ -49,6 +50,33 @@ def reference_reduce_mod_rows(v, rows, pivots):
         if coeff != 0:
             out = [x - coeff * y for x, y in zip(out, row)]
     return out
+
+
+def reference_reduce_fractions(values, owners):
+    """``reference_reduce_mod_rows`` on owners that are RREF rows as integer
+    columns, entry ``k`` at position ``-k`` and each kept at minus its pivot."""
+    pivots = sorted(-low for low in owners)
+    rows = [[Fraction(owners[-pc].get(-k, 0), owners[-pc][-pc]) for k in range(len(values))]
+            for pc in pivots]
+    return reference_reduce_mod_rows(values, rows, pivots)
+
+
+def integer_column(row):
+    """A rational row as (position, entry) pairs, entry ``k`` at position
+    ``-k``, scaled to integers by the lcm of its denominators."""
+    q = [Fraction(x) for x in row]
+    den = math.lcm(*(x.denominator for x in q))
+    return [(-k, int(x * den)) for k, x in enumerate(q)]
+
+
+def reduced_owners(rows):
+    """Each row reduced in turn by ``reduce_column`` and kept at its low."""
+    owners = {}
+    for row in rows:
+        column = chaincore.reduce_column(integer_column(row), owners)
+        if column:
+            owners[max(column)] = column
+    return owners
 
 
 def reference_solve_gaussian(a, b):
@@ -153,9 +181,10 @@ def test_solve_gaussian_matches_reference(system):
 
 @st.composite
 def vectors_and_reducers(draw):
-    """A vector and the pivot rows of ``reference_rref`` of a drawn matrix:
-    no rows, zero rows, full rank (every vector reduces to zero) or rank
-    deficient, and vectors with zero and nonzero pivot coordinates."""
+    """A vector, a drawn matrix and the pivot rows and pivots of its
+    ``reference_rref``: no rows, zero rows, full rank (every vector reduces
+    to zero) or rank deficient, and vectors with zero and nonzero pivot
+    coordinates."""
     a = draw(st.one_of(dense_matrices(), rank_deficient()))
     n_cols = len(a[0]) if a else draw(st.integers(0, 7))
     if draw(st.booleans()):
@@ -166,18 +195,26 @@ def vectors_and_reducers(draw):
     v = draw(st.lists(entries, min_size=n_cols, max_size=n_cols))
     zeroed = draw(st.sets(st.sampled_from(pivots)) if pivots else st.just(set()))
     v = [0 if i in zeroed else x for i, x in enumerate(v)]
-    return v, reduced[: len(pivots)], pivots
+    return v, a, reduced[: len(pivots)], pivots
 
 
 @settings(max_examples=400, deadline=None)
 @given(vectors_and_reducers())
-def test_reduce_mod_rows_matches_fraction_subtraction(case):
-    v, rows, pivots = case
-    got = ratlin.reduce_mod_rows(v, rows, pivots)
-    assert got == reference_reduce_mod_rows(v, rows, pivots)
-    assert all(type(x) is Fraction for x in got)
-    if len(pivots) == len(v):
-        assert not any(got)
+def test_reduce_fractions_matches_fraction_subtraction(case):
+    v, a, rows, pivots = case
+    expected = reference_reduce_mod_rows(v, rows, pivots)
+    # owners as cech keeps them, the RREF rows, and as chaincore keeps them,
+    # the matrix rows reduced in turn, whose lows are then the RREF pivots
+    rref_owners = {-pc: {k: x for k, x in integer_column(row) if x}
+                   for row, pc in zip(rows, pivots)}
+    column_owners = reduced_owners(a)
+    assert sorted(-low for low in column_owners) == pivots
+    for owners in (rref_owners, column_owners):
+        got = chaincore.reduce_fractions(v, owners)
+        assert got == expected
+        assert all(type(x) is Fraction for x in got)
+        if len(pivots) == len(v):
+            assert not any(got)
 
 
 def test_colimit_on_a_path_cover_matches_the_reference(monkeypatch):
@@ -195,7 +232,7 @@ def test_colimit_on_a_path_cover_matches_the_reference(monkeypatch):
     cosheaf = cech.CosheafData.build(cosections, extensions)
     result = cech.cosheaf_colimit(cosheaf, cover)
     monkeypatch.setattr(ratlin, "rref", reference_rref)
-    monkeypatch.setattr(ratlin, "reduce_mod_rows", reference_reduce_mod_rows)
+    monkeypatch.setattr(cech, "reduce_fractions", reference_reduce_fractions)
     expected = cech.cosheaf_colimit(cosheaf, cover)
     assert isinstance(result, cech.ColimitElement)
     assert any(result.representative)
