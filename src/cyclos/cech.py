@@ -364,18 +364,25 @@ def cocycle_class(omega: Mapping[Edge, float], nerve: ChainComplex) -> CocycleCl
 
     Closed cochains evaluate equally on cycles of one class, so the vector of
     evaluations against the canonical cycle basis is a complete coordinate
-    of the cohomology class.
+    of the cohomology class. A nerve edge may be given in either orientation,
+    the reversed one negated, but not in both.
     """
     edge_index = {edge: idx for idx, edge in enumerate(nerve.edges)}
     values = [0.0] * len(nerve.edges)
+    given: set[int] = set()
     with malformed("cochain"):  # a key that is not a pair, a value that is not a number
         for edge, value in omega.items():
             if edge in edge_index:
-                values[edge_index[edge]] = float(value)
+                idx, value = edge_index[edge], float(value)
             elif (edge[1], edge[0]) in edge_index:
-                values[edge_index[(edge[1], edge[0])]] = -float(value)
+                idx, value = edge_index[(edge[1], edge[0])], -float(value)
             else:
                 raise CyclosError(f"cochain edge {edge} not in the nerve")
+            if idx in given:
+                raise PreconditionError(
+                    f"cochain gives nerve edge {nerve.edges[idx]} in both orientations")
+            given.add(idx)
+            values[idx] = value
     for triangle, residual in zip(nerve.triangles, _coboundary(values, nerve)):
         if abs(residual) >= TOL:
             raise ClosureError(

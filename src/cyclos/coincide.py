@@ -11,6 +11,11 @@ prefixes of one list sorted by distance instead of measuring every pair
 again. Once a neuron's pair with every other neuron has overflowed the cap,
 its spikes only add to overflow counts, taken per neuron from one phase
 window of the later spikes instead of pair by pair.
+
+A :class:`CoincidenceResult` holds the graph and the overflow; its closed
+part and class are computed on first access. Jittered trials of one pattern
+often give the same graph, so :func:`trial_invariance` closes each distinct
+graph once and never computes a trial's class on its own graph.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
 from . import chaincore
@@ -75,11 +80,35 @@ class CoincidenceWindow:
 
 @dataclass(frozen=True)
 class CoincidenceResult:
+    """A train's coincidence graph and, per ordered neuron pair, the pairs over the cap.
+
+    The edge aggregate, its closed part and that part's class on ``graph`` are
+    computed on first access and kept, so a caller pays only for what it reads.
+    """
+
     graph: ChainComplex
-    aggregate: Chain1
-    closed: Chain1
-    cls: HomologyClass1
     multiplicity_overflow: dict[tuple[int, int], int] = field(default_factory=dict)
+
+    @cached_property
+    def aggregate(self) -> Chain1:
+        """Every edge once."""
+        return Chain1.from_dict({idx: 1 for idx in range(len(self.graph.edges))})
+
+    @cached_property
+    def closed(self) -> Chain1:
+        """The aggregate projected onto the cycle space."""
+        return chaincore.project_to_cycles(self.aggregate, self.graph)
+
+    @cached_property
+    def cls(self) -> HomologyClass1:
+        """The closed part's homology class on ``graph``."""
+        return chaincore.homology_class(self.closed, self.graph)
+
+
+def _require(value, kind: type, what: str) -> None:
+    if not isinstance(value, kind):
+        raise PreconditionError(
+            f"{what} must be of type {kind.__name__}, got {type(value).__name__}")
 
 
 def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int):
@@ -179,12 +208,13 @@ def closed_part(
     window: CoincidenceWindow,
     multiplicity_cap: int = DEFAULT_MULTIPLICITY_CAP,
 ) -> CoincidenceResult:
+    """The train's capped coincidence graph; its closure is computed on demand."""
+    _require(train, SpikeTrain, "train")
+    _require(osc, Oscillator, "oscillator")
+    _require(window, CoincidenceWindow, "window")
     kept, overflow = _coincident_pairs(train, osc, window.delta, multiplicity_cap)
     graph = ChainComplex(list(range(train.neurons)), [(i, j) for i, j, *_ in kept])
-    aggregate = Chain1.from_dict({idx: 1 for idx in range(len(graph.edges))})
-    closed = chaincore.project_to_cycles(aggregate, graph)
-    cls = chaincore.homology_class(closed, graph)
-    return CoincidenceResult(graph, aggregate, closed, cls, overflow)
+    return CoincidenceResult(graph, overflow)
 
 
 def _union_complex(
@@ -227,7 +257,18 @@ def trial_invariance(
     Cross-trial edges are matched by neuron ids (and by occurrence order for
     parallel edges); the report flags pairs whose multiplicities differ across
     trials, since the matching of parallels is then a convention.
+
+    Trials with the same ordered edge tuple have the same graph, closed part
+    and class, so each distinct graph is closed and classed once, by its first
+    trial; no trial's class on its own graph is computed.
     """
+    _require(window, CoincidenceWindow, "window")
+    if isinstance(trials, SpikeTrain):
+        raise PreconditionError("trials must be a sequence of SpikeTrains, not one SpikeTrain")
+    with malformed("trials", PreconditionError):  # not a collection
+        trials = list(trials)
+    for t in trials:
+        _require(t, SpikeTrain, "each trial")
     if not (is_finite(epsilon) and 0 <= epsilon < window.delta):
         raise PreconditionError(f"epsilon {epsilon!r} must lie in [0, {window.delta})")
     if not trials:
@@ -237,15 +278,19 @@ def trial_invariance(
         raise PreconditionError("trials must share one neuron set")
 
     results = [closed_part(t, osc, window, multiplicity_cap) for t in trials]
-    counts = [Counter(r.graph.edges) for r in results]
+    first: dict[tuple, CoincidenceResult] = {}  # ordered edge tuple -> its first trial
+    for r in results:
+        first.setdefault(r.graph.edges, r)
+    counts = [Counter(edges) for edges in first]
     union_counts = reduce(operator.or_, counts)  # largest multiplicity per edge
-    union, mappings = _union_complex([r.graph for r in results], union_counts)
-    classes = []
-    for result, mapping in zip(results, mappings):
+    union, mappings = _union_complex([r.graph for r in first.values()], union_counts)
+    class_of = {}
+    for (edges, result), mapping in zip(first.items(), mappings):
         embedded = Chain1.from_dict(
             {mapping[idx]: coeff for idx, coeff in result.closed.coefficients}
         )
-        classes.append(chaincore.homology_class(embedded, union))
+        class_of[edges] = chaincore.homology_class(embedded, union)
+    classes = [class_of[r.graph.edges] for r in results]
 
     ambiguous_pairs = sorted(
         e for e, top in union_counts.items() if top > 1 and any(c[e] != top for c in counts)
@@ -276,6 +321,8 @@ def coincidence_persistence(
     kept edge set is monotone in delta; each narrower window keeps the pairs
     whose stored phase distance fits it.
     """
+    _require(train, SpikeTrain, "train")
+    _require(osc, Oscillator, "oscillator")
     if not deltas:
         raise CyclosError("need at least one window value")
     for d in deltas:

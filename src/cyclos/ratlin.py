@@ -4,12 +4,15 @@ Matrices are lists of rows of :class:`~fractions.Fraction`. Everything here
 is deterministic: pivots are always chosen at the lowest row/column index, so
 reduced forms (and hence canonical representatives) are reproducible.
 The arithmetic runs in integers: each row is scaled by the lcm of its
-denominators (plain ints are used as they are), :func:`rref` and
-:func:`solve_gaussian` share one fraction-free elimination, and
-``Fraction``s are built once, for the results. The RREF of a rational
-matrix and the solution of a nonsingular system are unique, so they are what
-``Fraction`` arithmetic gives. A vector is reduced modulo a span by
-``chaincore.reduce_column``, not here.
+denominators (plain ints are used as they are), and :func:`rref` and
+:func:`solve_gaussian` share one fraction-free forward elimination that
+clears only below each pivot. :func:`rref` then clears above each pivot in
+one bottom-up pass of the same row operation; :func:`solve_gaussian`
+back-substitutes in integers over one common denominator. ``Fraction``s are
+built once, for the results. The RREF of a rational matrix and the solution
+of a nonsingular system are unique, so they are what ``Fraction`` arithmetic
+gives. A vector is reduced modulo a span by ``chaincore.reduce_column``, not
+here.
 """
 
 from __future__ import annotations
@@ -49,12 +52,21 @@ def _integers(row: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in q], den
 
 
+def _combine(row: list[int], f: int, p: int, prow: list[int]) -> list[int]:
+    """``p * row - f * prow``, divided by the gcd of its entries."""
+    new = [p * x - f * y for x, y in zip(row, prow)]
+    g = math.gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
 def _eliminate(m: list[list[int]]) -> list[int]:
-    """Fraction-free Gauss-Jordan on integer rows, in place (Bareiss, Math.
-    Comp. 1968); returns the pivot columns. Scaling keeps a row's span and zero
-    entries, so the pivots are those of a ``Fraction`` elimination. A row is
-    eliminated by cross-multiplication and divided by the gcd of its entries;
-    pivot row ``i`` divided by its pivot is RREF row ``i``."""
+    """Fraction-free forward elimination on integer rows, in place (Bareiss,
+    Math. Comp. 1968); returns the pivot columns. Each pivot is the lowest-index
+    nonzero at or below the current row, and only the rows below it are
+    cleared, by cross-multiplication and division by the gcd. Scaling keeps a
+    row's span and zero entries, so the pivots are those of a ``Fraction``
+    elimination, and rows past the last pivot are zero. :func:`rref` clears
+    above the pivots afterwards; :func:`solve_gaussian` back-substitutes."""
     n_rows = len(m)
     pivots: list[int] = []
     r = 0
@@ -65,12 +77,9 @@ def _eliminate(m: list[list[int]]) -> list[int]:
         m[r], m[pivot_row] = m[pivot_row], m[r]
         prow = m[r]
         p = prow[c]
-        for i in range(n_rows):
-            f = m[i][c]
-            if i != r and f:
-                new = [p * x - f * y for x, y in zip(m[i], prow)]
-                g = math.gcd(*new)
-                m[i] = [x // g for x in new] if g > 1 else new
+        for i in range(r + 1, n_rows):
+            if f := m[i][c]:
+                m[i] = _combine(m[i], f, p, prow)
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -80,9 +89,16 @@ def _eliminate(m: list[list[int]]) -> list[int]:
 
 def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form with lowest-index pivoting: the reduced matrix,
-    all ``len(a)`` rows with the zero rows last, and the pivot column indices."""
+    all ``len(a)`` rows with the zero rows last, and the pivot column indices.
+    After :func:`_eliminate`, each pivot row from the last up clears its column
+    in the rows above it, which leaves the later pivot columns zero there."""
     m = [_integers(row)[0] for row in a]
     pivots = _eliminate(m)
+    for k in range(len(pivots) - 1, 0, -1):
+        prow, c = m[k], pivots[k]
+        for i in range(k):
+            if f := m[i][c]:
+                m[i] = _combine(m[i], f, prow[c], prow)
     zero = Fraction(0)
     reduced = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
     reduced += [[zero] * len(row) for row in m[len(pivots):]]
@@ -90,10 +106,28 @@ def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
 
 def solve_gaussian(a: Sequence[Sequence], b: Sequence) -> Row:
-    """Solve a square nonsingular system exactly."""
+    """Solve a square nonsingular system exactly.
+
+    After :func:`_eliminate` the rows are upper triangular. Back-substitution
+    keeps the unknowns found so far as integers over their least common
+    denominator and builds one ``Fraction`` per unknown at the end."""
     n = len(a)
     m = [_integers([*row, b[i]])[0] for i, row in enumerate(a)]
     pivots = _eliminate(m)
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("singular or inconsistent system")
-    return [Fraction(row[n], row[i]) for i, row in enumerate(m)]
+    x = [0] * n  # x[j] / den is unknown j, for j past the current row
+    den = 1
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        # unknown i is num / (row[i] * den), reduced to num / q
+        num = row[n] * den - sum(row[j] * x[j] for j in range(i + 1, n) if row[j])
+        q = row[i] * den
+        g = math.gcd(num, q)
+        num, q = num // g, q // g
+        lcm = math.lcm(den, q)  # positive, and a multiple of q whatever its sign
+        if lcm != den:
+            x = [v * (lcm // den) for v in x]
+            den = lcm
+        x[i] = num * (den // q)
+    return [Fraction(v, den) for v in x]

@@ -31,7 +31,7 @@ from cyclos.cech import (
     glue_sections,
     pairing_cocycle,
 )
-from cyclos.errors import ClosureError, CyclosError
+from cyclos.errors import ClosureError, CyclosError, PreconditionError
 
 DIM = 2
 SEEDS = st.integers(0, 2**32 - 1)
@@ -233,6 +233,14 @@ def test_cocycle_class_reads_triangles_in_either_orientation():
         cocycle_class({**omega, nerve.edges[0]: omega[nerve.edges[0]] + 1.0}, flipped)
 
 
+@pytest.mark.parametrize("omega", [{(0, 1): 1.0, (1, 0): 1.0}, {(1, 0): 1.0, (0, 1): 1.0}])
+def test_cocycle_class_rejects_an_edge_in_both_orientations(omega):
+    # whichever orientation came last would otherwise set the edge's value
+    nerve = build_nerve(Cover(range(6), [{0, 1}, {1, 2}, {2, 3}, {3, 0}]))
+    with pytest.raises(PreconditionError, match=r"\(0, 1\)"):
+        cocycle_class(omega, nerve)
+
+
 @st.composite
 def nerves_with_values(draw):
     """Edges (i, j) with i < j in a drawn order, every triangle i < j < k they
@@ -317,6 +325,8 @@ DISJOINT_COVER = Cover(range(3), [{0}, {1}, {2}])  # a nerve with no edges
                  id="colimit-more-cosections-than-opens"),
     pytest.param(lambda: cocycle_class({(0,): 1.0}, PATH_NERVE), id="cocycle-one-id-edge"),
     pytest.param(lambda: cocycle_class({(0, 1): "x"}, PATH_NERVE), id="cocycle-string-value"),
+    pytest.param(lambda: cocycle_class({(0, 1): 1.0, (1, 0): 1.0}, PATH_NERVE),
+                 id="cocycle-edge-in-both-orientations"),
 ])
 def test_rejected_with_cyclos_error(call):
     with pytest.raises(CyclosError):

@@ -224,6 +224,18 @@ class TestErrorContract:
         pytest.param(lambda: CoincidenceWindow("x"), WindowError, id="window-string-delta"),
         pytest.param(lambda: coincide.coincidence_persistence(cyclic_train(), OSC, [0.1, "x"]),
                      WindowError, id="persistence-string-window"),
+        pytest.param(lambda: coincide.closed_part(cyclic_train(), OSC, 0.5),
+                     PreconditionError, id="closed-part-float-window"),
+        pytest.param(lambda: coincide.closed_part("x", OSC, WINDOW),
+                     PreconditionError, id="closed-part-string-train"),
+        pytest.param(lambda: coincide.trial_invariance([cyclic_train(), "x"], OSC, WINDOW, 0.05),
+                     PreconditionError, id="trial-string-trial"),
+        pytest.param(lambda: coincide.trial_invariance(cyclic_train(), OSC, WINDOW, 0.05),
+                     PreconditionError, id="trial-bare-train"),
+        pytest.param(lambda: coincide.trial_invariance(3, OSC, WINDOW, 0.05),
+                     PreconditionError, id="trial-int-trials"),
+        pytest.param(lambda: coincide.coincidence_persistence(cyclic_train(), 8.0, [0.1, 0.2]),
+                     PreconditionError, id="persistence-float-oscillator"),
         pytest.param(lambda: chaincore.boundary1(Chain1(((0, "1"),)), TRIANGLE),
                      MalformedChainError, id="boundary-str-coefficient"),
         pytest.param(lambda: chaincore.boundary1(Chain1(((0, None),)), TRIANGLE),
@@ -442,11 +454,14 @@ def reference_trial_invariance(trials, osc, window, epsilon, cap):
 @st.composite
 def trial_inputs(draw):
     """A few trials on one neuron set; coarse times give parallel edges whose
-    multiplicities differ from trial to trial."""
+    multiplicities differ from trial to trial, and some trials are repeated,
+    so one closure serves several of them."""
     neurons = draw(st.integers(2, 4))
     spike = st.tuples(st.integers(0, neurons - 1), st.integers(0, 24).map(lambda k: k / 96))
     trials = [SpikeTrain(neurons, draw(st.lists(spike, max_size=10)))
               for _ in range(draw(st.integers(1, 4)))]
+    repeats = draw(st.lists(st.sampled_from(trials), max_size=2))
+    trials = draw(st.permutations(trials + repeats))
     window = CoincidenceWindow(draw(st.floats(0.05, 3.0)))
     return trials, window, window.delta / 2, draw(st.integers(1, 3))
 
@@ -458,6 +473,84 @@ class TestTrialInvarianceOracle:
         trials, window, epsilon, cap = inputs
         got = coincide.trial_invariance(trials, OSC, window, epsilon, cap)
         assert got == reference_trial_invariance(trials, OSC, window, epsilon, cap)
+
+
+def count_closures(monkeypatch):
+    """Calls of the projection onto cycles and of the class, by name."""
+    calls = {"project_to_cycles": 0, "homology_class": 0}
+
+    def counting(name):
+        original = getattr(chaincore, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(chaincore, name, counting(name))
+    return calls
+
+
+def jittered_trials(count, seed):
+    """`count` jitters of one cyclic pattern that share one graph under WINDOW:
+    gaps g = 0.27 and jitter eps = 0.06 in all meet g + eps <= 0.35 < 2g - eps
+    (see test_jitter_preserving_coincidences)."""
+    rng = random.Random(seed)
+    base = [(0, 0.0), (1, 0.27), (2, 0.54), (0, 0.81)]
+    return [SpikeTrain(3, [(n, time_at_phase(p + rng.uniform(-0.03, 0.03))) for n, p in base])
+            for _ in range(count)]
+
+
+def two_triangles(first):
+    """Cycles 0 -> 1 -> 2 -> 0 and 3 -> 4 -> 5 -> 3 in phase ranges far apart,
+    the `first` one a period before the other, so the order of the edges
+    depends on `first` and their multiset does not."""
+    laps = (0, 1) if first == 0 else (1, 0)
+    spikes = []
+    for lap, (a, b, c), start in zip(laps, ((0, 1, 2), (3, 4, 5)), (0.0, 3.0)):
+        spikes += [(n, time_at_phase(start + 0.3 * k, lap)) for k, n in enumerate((a, b, c, a))]
+    return SpikeTrain(6, spikes)
+
+
+class TestClosureOnDemand:
+    def test_closed_part_defers_the_closure(self):
+        result = coincide.closed_part(cyclic_train(), OSC, WINDOW)
+        assert not {"aggregate", "closed", "cls"} & set(vars(result))
+        graph = result.graph
+        aggregate = Chain1.from_dict({idx: 1 for idx in range(len(graph.edges))})
+        closed = chaincore.project_to_cycles(aggregate, graph)
+        assert result.aggregate == aggregate
+        assert result.closed == closed
+        assert result.cls == chaincore.homology_class(closed, graph)
+        assert result.closed is result.closed and result.cls is result.cls
+
+    def test_one_closure_per_distinct_graph(self, monkeypatch):
+        trials = jittered_trials(3, seed=5)
+        graphs = {coincide.closed_part(t, OSC, WINDOW).graph.edges for t in trials}
+        assert len(graphs) == 1
+        calls = count_closures(monkeypatch)
+        ok, _ = coincide.trial_invariance(trials, OSC, WINDOW, epsilon=0.05)
+        assert ok and calls == {"project_to_cycles": 1, "homology_class": 1}
+
+    def test_a_perturbed_trial_is_closed_on_its_own(self, monkeypatch):
+        trials = jittered_trials(3, seed=5)
+        # without the closing spike of neuron 0 the third trial is an open path
+        trials[2] = SpikeTrain(3, trials[2].spikes[:-1])
+        calls = count_closures(monkeypatch)
+        ok, report = coincide.trial_invariance(trials, OSC, WINDOW, epsilon=0.05)
+        assert not ok and calls == {"project_to_cycles": 2, "homology_class": 2}
+        assert report == reference_trial_invariance(trials, OSC, WINDOW, 0.05, 16)[1]
+
+    def test_reordered_edges_are_closed_separately(self, monkeypatch):
+        trials = [two_triangles(0), two_triangles(3)]
+        a, b = (coincide.closed_part(t, OSC, WINDOW).graph.edges for t in trials)
+        assert a != b and sorted(a) == sorted(b)
+        calls = count_closures(monkeypatch)
+        got = coincide.trial_invariance(trials, OSC, WINDOW, epsilon=0.05)
+        assert calls == {"project_to_cycles": 2, "homology_class": 2}
+        assert got == reference_trial_invariance(trials, OSC, WINDOW, 0.05, 16)
 
 
 # -- reference: the time-ordered pair loop, with no sweep for saturated neurons --

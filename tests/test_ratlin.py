@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cyclos import cech, chaincore, ratlin
@@ -177,6 +178,18 @@ def test_solve_gaussian_matches_reference(system):
     got = ratlin.solve_gaussian(a, b)
     assert got == reference_solve_gaussian(a, b)
     assert all(type(x) is Fraction for x in got)
+
+
+def test_forward_pass_swaps_past_a_zero_leading_entry():
+    a, b = [[0, 2, 1], [3, 1, 0], [1, 0, 1]], [1, 2, Fraction(1, 2)]
+    assert ratlin.rref(a) == reference_rref(a)
+    assert ratlin.solve_gaussian(a, b) == reference_solve_gaussian(a, b)
+
+
+@pytest.mark.parametrize("b", [[1, 2, 3], [1, 3, 3]], ids=["consistent", "inconsistent"])
+def test_singular_square_system_raises(b):
+    with pytest.raises(ValueError):
+        ratlin.solve_gaussian([[1, 2, 0], [2, 4, 0], [0, 0, 1]], b)
 
 
 @st.composite
