@@ -50,10 +50,6 @@ class Cover:
             if not u <= ground_set:
                 raise CyclosError(f"open {idx} leaves the ground set")
 
-    def to_json_obj(self) -> dict:
-        return {"ground": list(self.ground),
-                "opens": [sorted(u) for u in self.opens]}
-
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Cover":
         with malformed("cover JSON"):
@@ -271,7 +267,8 @@ def check_naturality(
         iota_i, iota_j = _edge_data(cosheaf.extensions, (i, j), "extension")
         m_edge = _edge_data(pairing.overlap_forms, (i, j), "overlap form")
         for endpoint, rho, iota in ((i, rho_i, iota_i), (j, rho_j, iota_j)):
-            residual = rho.T @ m_edge - pairing.open_forms[endpoint] @ iota
+            with malformed(f"forms on edge {(i, j)}", PreconditionError):  # mismatched shapes
+                residual = rho.T @ m_edge - pairing.open_forms[endpoint] @ iota
             norm = float(np.max(np.abs(residual))) if residual.size else 0.0
             if norm >= TOL:
                 violations.append(((i, j), endpoint, norm))
@@ -292,8 +289,9 @@ def adjoint_extensions(
     for (i, j) in nerve.edges:
         rho_i, rho_j = _edge_data(sheaf.restrictions, (i, j), "restriction")
         m_edge = _edge_data(pairing.overlap_forms, (i, j), "overlap form")
-        iota_i = np.linalg.solve(pairing.open_forms[i], rho_i.T @ m_edge)
-        iota_j = np.linalg.solve(pairing.open_forms[j], rho_j.T @ m_edge)
+        with malformed(f"forms on edge {(i, j)}", PreconditionError):  # singular, or wrong shape
+            iota_i = np.linalg.solve(pairing.open_forms[i], rho_i.T @ m_edge)
+            iota_j = np.linalg.solve(pairing.open_forms[j], rho_j.T @ m_edge)
         out[(i, j)] = (iota_i, iota_j)
     return out
 
@@ -320,8 +318,9 @@ def pairing_cocycle(
     """
     for (i, j) in nerve.edges:
         m_edge = _edge_data(pairing.overlap_forms, (i, j), "overlap form")
-        if m_edge.size and np.linalg.matrix_rank(m_edge) < min(m_edge.shape):
-            raise PreconditionError(f"overlap pairing on {(i, j)} is degenerate")
+        with malformed(f"overlap form on edge {(i, j)}", PreconditionError):  # not a matrix
+            if m_edge.size and np.linalg.matrix_rank(m_edge) < min(m_edge.shape):
+                raise PreconditionError(f"overlap pairing on {(i, j)} is degenerate")
     violations = check_naturality(sheaf, cosheaf, pairing, nerve)
     if violations:
         edge, endpoint, norm = violations[0]
@@ -354,9 +353,6 @@ class CocycleClass:
     """Evaluations of a closed edge cochain on a homology cycle basis."""
 
     coordinates: tuple[float, ...]
-
-    def is_zero(self) -> bool:
-        return all(abs(c) < TOL for c in self.coordinates)
 
 
 def cocycle_class(omega: Mapping[Edge, float], nerve: ChainComplex) -> CocycleClass:

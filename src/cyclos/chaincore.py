@@ -21,7 +21,9 @@ from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import ratlin
-from .errors import ClosureError, CyclosError, MalformedChainError, is_int, malformed
+from .errors import (
+    ClosureError, CyclosError, MalformedChainError, PreconditionError, is_int, malformed,
+)
 
 VertexId = Hashable
 
@@ -45,28 +47,6 @@ class Chain1:
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.coefficients)
 
-    def __add__(self, other: "Chain1") -> "Chain1":
-        merged = self.as_dict()
-        for idx, val in other.coefficients:
-            merged[idx] = merged.get(idx, Fraction(0)) + val
-        return Chain1.from_dict(merged)
-
-    def __neg__(self) -> "Chain1":
-        return Chain1.from_dict({idx: -val for idx, val in self.coefficients})
-
-    def __sub__(self, other: "Chain1") -> "Chain1":
-        return self + (-other)
-
-    def scale(self, factor: Fraction | int) -> "Chain1":
-        factor = Fraction(factor)
-        return Chain1.from_dict({idx: factor * val for idx, val in self.coefficients})
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def to_json_obj(self) -> dict[str, str]:
-        return {str(idx): str(val) for idx, val in self.coefficients}
-
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, str]) -> "Chain1":
         with malformed("chain JSON", MalformedChainError):
@@ -79,12 +59,6 @@ class HomologyClass1:
     """Cycle-basis coordinates reduced modulo the image of the 2-boundary."""
 
     coordinates: tuple[Fraction, ...]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coordinates)
-
-    def __neg__(self) -> "HomologyClass1":
-        return HomologyClass1(tuple(-c for c in self.coordinates))
 
 
 class UnionFind:
@@ -214,22 +188,20 @@ class ChainComplex:
 
     def fundamental_cycle(self, edge_index: int) -> Chain1:
         """Cycle with coefficient +1 on the given non-tree edge: the edge plus
-        the root paths of its ends, whose shared stem cancels."""
+        the root paths of its ends, whose shared stem cancels. A tree edge
+        cancels against its own root path and closes no cycle."""
+        if not (is_int(edge_index) and 0 <= edge_index < len(self.edges)):
+            raise MalformedChainError(f"edge index {edge_index!r} out of range")
         tail, head = self.edges[edge_index]
         coeffs = self._root_path(tail)
         for j, c in self._root_path(head).items():
             coeffs[j] = coeffs.get(j, 0) - c
         coeffs[edge_index] = coeffs.get(edge_index, 0) + 1
+        if coeffs[edge_index] != 1:
+            raise PreconditionError(f"tree edge {edge_index} closes no cycle")
         return Chain1.from_dict(coeffs)
 
     # -- serialization ---------------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": [list(e) for e in self.edges],
-            "triangles": [list(t) for t in self.triangles],
-        }
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "ChainComplex":

@@ -13,9 +13,9 @@ its spikes only add to overflow counts, taken per neuron from one phase
 window of the later spikes instead of pair by pair.
 
 A :class:`CoincidenceResult` holds the graph and the overflow; its closed
-part and class are computed on first access. Jittered trials of one pattern
-often give the same graph, so :func:`trial_invariance` closes each distinct
-graph once and never computes a trial's class on its own graph.
+part is computed on first access. Jittered trials of one pattern often give
+the same graph, so :func:`trial_invariance` closes each distinct graph once
+and classes it once, on the union of the trials' graphs.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
 from . import chaincore
-from .chaincore import Chain1, ChainComplex, HomologyClass1
+from .chaincore import Chain1, ChainComplex
 from .errors import CyclosError, PreconditionError, WindowError, is_finite, is_int, malformed
 from .persist import Barcode, compute_barcode, window_filtration
 from .phasecode import TWO_PI, Oscillator, wrap_time
@@ -60,9 +60,6 @@ class SpikeTrain:
         object.__setattr__(self, "neurons", int(neurons))
         object.__setattr__(self, "spikes", tuple(normalized))
 
-    def to_json_obj(self) -> dict:
-        return {"neurons": self.neurons, "spikes": [[n, t] for n, t in self.spikes]}
-
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "SpikeTrain":
         with malformed("spike train JSON"):
@@ -82,12 +79,12 @@ class CoincidenceWindow:
 class CoincidenceResult:
     """A train's coincidence graph and, per ordered neuron pair, the pairs over the cap.
 
-    The edge aggregate, its closed part and that part's class on ``graph`` are
-    computed on first access and kept, so a caller pays only for what it reads.
+    The edge aggregate and its closed part are computed on first access and
+    kept, so a caller pays only for what it reads.
     """
 
     graph: ChainComplex
-    multiplicity_overflow: dict[tuple[int, int], int] = field(default_factory=dict)
+    multiplicity_overflow: dict[tuple[int, int], int]
 
     @cached_property
     def aggregate(self) -> Chain1:
@@ -98,11 +95,6 @@ class CoincidenceResult:
     def closed(self) -> Chain1:
         """The aggregate projected onto the cycle space."""
         return chaincore.project_to_cycles(self.aggregate, self.graph)
-
-    @cached_property
-    def cls(self) -> HomologyClass1:
-        """The closed part's homology class on ``graph``."""
-        return chaincore.homology_class(self.closed, self.graph)
 
 
 def _require(value, kind: type, what: str) -> None:
@@ -259,8 +251,8 @@ def trial_invariance(
     trials, since the matching of parallels is then a convention.
 
     Trials with the same ordered edge tuple have the same graph, closed part
-    and class, so each distinct graph is closed and classed once, by its first
-    trial; no trial's class on its own graph is computed.
+    and class, so each distinct graph is closed once, by its first trial, and
+    classed once on the union complex.
     """
     _require(window, CoincidenceWindow, "window")
     if isinstance(trials, SpikeTrain):

@@ -9,7 +9,7 @@ landing off-grid go to an overflow bucket instead of being dropped silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -126,9 +126,6 @@ class Accumulator:
     grid: np.ndarray  # shape (ny, nx)
     overflow_count: int
     overflow_weight: float
-
-    def serialize_grid(self) -> bytes:
-        return self.grid.tobytes()
 
 
 @dataclass(frozen=True)
@@ -270,7 +267,7 @@ def peak_persistence(acc: Accumulator, thresholds: Sequence[float]) -> Barcode:
     height h and merged at saddle s yields the bar (-h, -s); persistence
     lengths are peak - saddle either way.
     """
-    if not all(math.isfinite(t) for t in thresholds):
+    if not all(map(is_finite, thresholds)):
         raise PreconditionError("thresholds must be finite")
     if any(b >= a for a, b in zip(thresholds, thresholds[1:])):
         raise PreconditionError("thresholds must be strictly descending")

@@ -54,11 +54,12 @@ class PlaceCellConfig:
     delta: float = math.pi / 8
 
     def __post_init__(self):
-        if not all(is_finite(w) and w >= 0 for w in self.weights):
-            raise ConfigError(f"weights must be finite and non-negative, got {self.weights!r}")
+        with malformed("place-cell weights", ConfigError):  # not a collection
+            if not all(is_finite(w) and w >= 0 for w in self.weights):
+                raise ConfigError(f"weights must be finite and non-negative, got {self.weights!r}")
         if not is_finite(self.threshold):
             raise ConfigError(f"threshold must be finite, got {self.threshold!r}")
-        if not (0 < self.delta <= math.pi / 4):
+        if not (is_finite(self.delta) and 0 < self.delta <= math.pi / 4):
             raise ConfigError("kernel width must satisfy 0 < delta <= pi/4")
         if self.kernel not in ("boxcar", "von_mises"):
             raise ConfigError(f"unknown kernel {self.kernel!r}")
@@ -71,7 +72,12 @@ class Trajectory2D:
     def __post_init__(self):
         if not self.samples:
             raise CyclosError("a trajectory needs at least one sample")
-        times = [t for t, _ in self.samples]
+        with malformed("trajectory samples"):  # not (time, position) pairs
+            times = [t for t, _ in self.samples]
+            positions = [p for _, p in self.samples]
+            if not all(len(p) == 2 and all(map(is_finite, p)) for p in positions):
+                raise CyclosError(f"trajectory positions must be two finite numbers, "
+                                  f"got {positions!r}")
         if not all(map(is_finite, times)):
             raise CyclosError(f"trajectory times must be finite, got {times!r}")
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -222,14 +228,6 @@ class PlaceFieldMap:
     mask: np.ndarray  # values >= threshold
     extent: tuple[float, float, float, float]  # xmin, xmax, ymin, ymax
     resolution: tuple[int, int]  # nx, ny
-
-    def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
-        xmin, xmax, ymin, ymax = self.extent
-        nx, ny = self.resolution
-        return (
-            xmin + (ix + 0.5) * (xmax - xmin) / nx,
-            ymin + (iy + 0.5) * (ymax - ymin) / ny,
-        )
 
     def peak(self) -> tuple[int, int]:
         iy, ix = np.unravel_index(int(np.argmax(self.values)), self.values.shape)

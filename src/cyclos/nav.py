@@ -52,12 +52,6 @@ class Workspace:
             if math.dist(self.base, disk.center) < disk.radius:
                 raise CyclosError("base point lies inside an obstacle")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "obstacles": [[d.center[0], d.center[1], d.radius] for d in self.obstacles],
-            "base": list(self.base),
-        }
-
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Workspace":
         with malformed("workspace JSON"):
@@ -91,12 +85,6 @@ class Move:
 @dataclass(frozen=True)
 class WindingVector:
     windings: tuple[int, ...]
-
-    def __add__(self, other: "WindingVector") -> "WindingVector":
-        return WindingVector(tuple(a + b for a, b in zip(self.windings, other.windings)))
-
-    def __neg__(self) -> "WindingVector":
-        return WindingVector(tuple(-w for w in self.windings))
 
 
 def _segment_clears_disk(p: Point, q: Point, disk: Disk) -> bool:

@@ -101,9 +101,6 @@ class Filtration:
                 triangles.append(step.simplex)
         return ChainComplex(vertices, edges, triangles)
 
-    def to_json_obj(self) -> dict:
-        return {"steps": [[s.value, s.kind, list(s.simplex)] for s in self.steps]}
-
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Filtration":
         with malformed("filtration JSON"):
@@ -152,9 +149,6 @@ class Bar:
     def length(self) -> float:
         return self.death - self.birth
 
-    def alive_at(self, value: float) -> bool:
-        return self.birth <= value < self.death
-
 
 @dataclass(frozen=True)
 class Barcode:
@@ -162,9 +156,6 @@ class Barcode:
 
     def in_dim(self, d: int) -> tuple[Bar, ...]:
         return tuple(b for b in self.bars if b.dim == d)
-
-    def alive_count(self, dim: int, value: float) -> int:
-        return sum(1 for b in self.bars if b.dim == dim and b.alive_at(value))
 
     def to_json_obj(self) -> dict:
         return {

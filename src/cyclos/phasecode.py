@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ClosureError, CyclosError, UnwrapError, is_finite
+from .errors import ClosureError, CyclosError, UnwrapError, is_finite, malformed
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_CLOSURE_TOL = 1e-9
@@ -63,13 +63,12 @@ def winding_number(
         raise CyclosError("need at least two phase samples")
     if not (is_finite(closure_tol) and closure_tol >= 0):
         raise CyclosError(f"closure tolerance must be finite and >= 0, got {closure_tol!r}")
-    if closed and circular_distance(phases[0], phases[-1]) > closure_tol:
-        raise ClosureError(
-            f"path not closed: endpoints differ by {circular_distance(phases[0], phases[-1]):.3g} rad"
-        )
     total = 0.0
-    for a, b in zip(phases, phases[1:]):
-        total += signed_gap(a, b)
+    with malformed("phase samples"):  # a sample that is not a number
+        if closed and (gap := circular_distance(phases[0], phases[-1])) > closure_tol:
+            raise ClosureError(f"path not closed: endpoints differ by {gap:.3g} rad")
+        for a, b in zip(phases, phases[1:]):
+            total += signed_gap(a, b)
     if not math.isfinite(total):  # a NaN or infinite phase gives NaN gaps
         raise CyclosError("phase samples must be finite")
     return round(total / TWO_PI)

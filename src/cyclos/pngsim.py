@@ -80,17 +80,6 @@ class DelayNetwork:
                 if not (is_real(syn.weight) and 0.0 <= syn.weight <= self.w_max):
                     raise ConfigError(f"synapse {idx} weight outside [0, {self.w_max}]")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "neurons": self.neuron_count,
-            "synapses": [[s.pre, s.post, s.weight, s.delay] for s in self.synapses],
-            "delta_ms": self.delta,
-            "k": self.k,
-            "refractory_ms": self.refractory,
-            "threshold": self.threshold,
-            "w_max": self.w_max,
-        }
-
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "DelayNetwork":
         with malformed("delay network JSON"):

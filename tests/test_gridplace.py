@@ -94,8 +94,8 @@ class TestPlaceFieldMap:
         cells = [GridCell((TWO_PI, 0.0)), GridCell((0.0, TWO_PI))]
         field = place_field_map(cfg, cells, OSC, region=(0.2, 1.8, 0.2, 1.8), resolution=(32, 32))
         ix, iy = field.peak()
-        cx, cy = field.cell_center(ix, iy)
         cell_w = (1.8 - 0.2) / 32
+        cx, cy = 0.2 + (ix + 0.5) * cell_w, 0.2 + (iy + 0.5) * cell_w
         # unique alignment point in the region interior is (1, 1)
         assert abs(cx - 1.0) <= cell_w and abs(cy - 1.0) <= cell_w
         # at the exact alignment point the value is (sum of weights) * delta/pi

@@ -108,8 +108,9 @@ class TestMalformedInput:
 class TestAcceptedInput:
     def test_spike_train_json_round_trip(self):
         train = SpikeTrain.from_json_obj({"neurons": 2, "spikes": [[1, 1], [0, 0.5]]})
+        assert train == SpikeTrain(2, [(0, 0.5), (1, 1.0)])
         assert train.spikes == ((0, 0.5), (1, 1.0))
-        assert SpikeTrain.from_json_obj(train.to_json_obj()) == train
+        assert all(type(t) is float for _, t in train.spikes)
 
     def test_move_points_may_be_non_finite(self):
         # check_feasible's exact test, not the constructor, handles them
@@ -227,12 +228,19 @@ class TestErrorContract:
         pytest.param(lambda: PlaceCellConfig((1.0,), math.nan), id="place-config-nan-threshold"),
         pytest.param(lambda: Trajectory2D(((0.0, (0.0, 0.0)), (math.nan, (1.0, 0.0)))),
                      id="trajectory-nan-time"),
+        pytest.param(lambda: Trajectory2D(((0.0, (0.0,)),)), id="trajectory-one-coordinate"),
+        pytest.param(lambda: Trajectory2D(((0.0, 0.0),)), id="trajectory-number-position"),
+        pytest.param(lambda: PlaceCellConfig((1.0,), 0.1, delta="x"),
+                     id="place-config-string-delta"),
+        pytest.param(lambda: PlaceCellConfig(None, 0.1), id="place-config-no-weights"),
         pytest.param(lambda: AccumulatorConfig((0.0, 1.0, 0.0, 1.0), (2.5, 2)),
                      id="accumulator-fractional-shape"),
         pytest.param(lambda: winding_number([0.0, 1.0, 2.0], True, math.nan),
                      id="winding-nan-closure-tol"),
         pytest.param(lambda: winding_number([0.0, 1.0], False, -1.0),
                      id="winding-negative-closure-tol"),
+        pytest.param(lambda: winding_number(["a", "b"], False), id="winding-string-phases"),
+        pytest.param(lambda: winding_number(["a", "b"], True), id="winding-string-closed-phases"),
     ])
     def test_rejected_with_cyclos_error(self, build):
         with pytest.raises(CyclosError):
@@ -264,6 +272,10 @@ class TestNonFiniteInputs:
         pytest.param(lambda: winding_number([0.0, 1.0, math.inf], closed=False),
                      id="winding-inf-phase"),
         pytest.param(lambda: Trajectory2D(()).t_start, id="trajectory-empty"),
+        pytest.param(lambda: Trajectory2D(((0.0, (0.0, 0.0)), (1.0, (math.nan, 0.0)))),
+                     id="trajectory-nan-position"),
+        pytest.param(lambda: Trajectory2D(((0.0, (0.0, 0.0)), (1.0, (0.0, math.inf)))),
+                     id="trajectory-inf-position"),
         pytest.param(lambda: Disk((math.nan, 0.0), 1.0), id="disk-nan-center"),
         pytest.param(lambda: Disk((0.0, math.inf), 1.0), id="disk-inf-center"),
         pytest.param(lambda: Disk((0.0, 0.0), math.nan), id="disk-nan-radius"),

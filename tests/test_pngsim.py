@@ -288,9 +288,9 @@ class TestOrderInvariantReadout:
 
 class TestNetworkJson:
     def test_round_trip(self):
-        net = ring_network([40.0, 40.0, 45.0])
-        again = DelayNetwork.from_json_obj(net.to_json_obj())
-        assert again == net
+        obj = {"neurons": 3, "synapses": [[0, 1, 0.9, 40], [1, 2, 0.9, 40], [2, 0, 0.9, 45]],
+               "delta_ms": 5, "k": 1, "refractory_ms": 1, "threshold": 0.5, "w_max": 1}
+        assert DelayNetwork.from_json_obj(obj) == ring_network([40.0, 40.0, 45.0])
 
 
 def reference_simulate(net, stimuli, horizon, stdp=None):
