@@ -105,11 +105,13 @@ class SheafData:
 
     @classmethod
     def build(cls, sections, restrictions) -> "SheafData":
-        secs = tuple(_as_matrix(s, "section").reshape(-1) for s in sections)
+        with malformed("sheaf data"):  # sections or restrictions not a collection
+            secs = tuple(_as_matrix(s, "section").reshape(-1) for s in sections)
+            entries = restrictions.items()
         dims = tuple(len(s) for s in secs)
         rho = {}
         overlap_dims = {}
-        for key, maps in restrictions.items():
+        for key, maps in entries:
             i, j = _edge_key(key, len(dims), "restriction")
             with malformed(f"restrictions on edge {key}"):
                 a, b = (_as_matrix(m, "restriction") for m in maps)
@@ -131,11 +133,13 @@ class CosheafData:
 
     @classmethod
     def build(cls, cosections, extensions) -> "CosheafData":
-        cosecs = tuple(_as_matrix(g, "co-section").reshape(-1) for g in cosections)
+        with malformed("cosheaf data"):  # co-sections or extensions not a collection
+            cosecs = tuple(_as_matrix(g, "co-section").reshape(-1) for g in cosections)
+            entries = extensions.items()
         dims = tuple(len(g) for g in cosecs)
         iota = {}
         overlap_dims = {}
-        for key, maps in extensions.items():
+        for key, maps in entries:
             i, j = _edge_key(key, len(dims), "extension")
             with malformed(f"extensions on edge {key}"):
                 a, b = (_as_matrix(m, "extension") for m in maps)
@@ -155,9 +159,11 @@ class Pairing:
 
     @classmethod
     def build(cls, open_forms, overlap_forms) -> "Pairing":
-        forms = tuple(_as_matrix(m, "open form") for m in open_forms)
+        with malformed("pairing"):  # open or overlap forms not a collection
+            forms = tuple(_as_matrix(m, "open form") for m in open_forms)
+            entries = overlap_forms.items()
         return cls(forms, {_edge_key(e, len(forms), "overlap form"): _as_matrix(m, "overlap form")
-                           for e, m in overlap_forms.items()})
+                           for e, m in entries})
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ what survives is exactly the closed, reproducible part of the train.
 Pairs are enumerated and capped per ordered neuron pair in one pass, and
 each kept pair carries its phase distance, so a ladder of windows takes
 prefixes of one list sorted by distance instead of measuring every pair
-again. Once a neuron's pair with every other neuron has overflowed the cap,
-its spikes only add to overflow counts, taken per neuron from one phase
-window of the later spikes instead of pair by pair.
+again. Once all pairs of a neuron are full, its spikes keep no pair:
+:func:`closed_part` counts their overflow per neuron from one phase window
+of the later spikes, and :func:`coincidence_persistence` skips them.
 
 A :class:`CoincidenceResult` holds the graph and the overflow; its closed
 part is computed on first access. Jittered trials of one pattern often give
@@ -103,13 +103,15 @@ def _require(value, kind: type, what: str) -> None:
             f"{what} must be of type {kind.__name__}, got {type(value).__name__}")
 
 
-def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int):
+def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int,
+                      count_overflow: bool = True):
     """Capped coincident pairs and the overflow per ordered neuron pair.
 
     Returns the kept (i, j, t, t', distance) tuples with t < t', i != j and
     circular phase distance at most `limit`, in time order, where at most
     `cap` pairs are kept per (i, j); the rest are counted in the overflow,
-    keyed in the order of each pair's first overflow.
+    keyed in the order of each pair's first overflow, or None without
+    `count_overflow`.
     """
     if not (is_int(cap) and cap >= 1):
         raise PreconditionError(f"multiplicity cap must be a positive integer, got {cap!r}")
@@ -118,15 +120,17 @@ def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int
     phases = [wrap_time(t, osc) for t in times]
     kept = []
     counts: dict[tuple[int, int], int] = {}
-    overflow: dict[tuple[int, int], int] = {}
+    overflow: dict[tuple[int, int], int] | None = {} if count_overflow else None
     others = len(set(neurons)) - 1
-    overflowed = [0] * train.neurons  # per neuron i: how many (i, j) have overflowed
+    full = [0] * train.neurons  # per neuron i: the (i, j) past the cap, or at it if not counted
     later = None  # the spikes from `indexed` on, in phase order
     for a, (i, t, phase_a) in enumerate(zip(neurons, times, phases)):
+        if full[i] == others and overflow is None:
+            continue  # no partner of i is kept
         # spikes are in time order and simultaneous ones stay unordered, so the
         # partners of spike a start after its time tie
         start = bisect_right(times, t, a + 1)
-        if overflowed[i] == others:
+        if full[i] == others:
             # i is saturated: count its partners per neuron in one phase window
             if later is None:
                 later = sorted(range(start, len(times)), key=phases.__getitem__)
@@ -154,14 +158,20 @@ def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int
                 d = TWO_PI - d
             if d <= limit:
                 key = (i, j)
-                counts[key] = counts.get(key, 0) + 1
-                if counts[key] <= cap:
+                n = counts[key] = counts.get(key, 0) + 1
+                if n <= cap:
                     kept.append((i, j, t, t_next, d))
+                    if n == cap and overflow is None:
+                        full[i] += 1
+                        if full[i] == others:
+                            break
+                elif overflow is None:
+                    continue
                 elif key in overflow:
                     overflow[key] += 1
                 else:
                     overflow[key] = 1
-                    overflowed[i] += 1
+                    full[i] += 1
     return kept, overflow
 
 
@@ -311,17 +321,19 @@ def coincidence_persistence(
 
     The multiplicity cap is applied once at the widest window so that the
     kept edge set is monotone in delta; each narrower window keeps the pairs
-    whose stored phase distance fits it.
+    whose stored phase distance fits it. Pairs over the cap are not counted:
+    a neuron's spikes stop pairing once all its pairs are at the cap.
     """
     _require(train, SpikeTrain, "train")
     _require(osc, Oscillator, "oscillator")
-    if not deltas:
-        raise CyclosError("need at least one window value")
-    for d in deltas:
-        CoincidenceWindow(d)  # range validation
-    if any(b <= a for a, b in zip(deltas, deltas[1:])):
-        raise CyclosError("window values must be strictly ascending")
-    kept, _ = _coincident_pairs(train, osc, deltas[-1], multiplicity_cap)
+    with malformed("window values", WindowError):  # not a collection
+        if not deltas:
+            raise CyclosError("need at least one window value")
+        for d in deltas:
+            CoincidenceWindow(d)  # range validation
+        if any(b <= a for a, b in zip(deltas, deltas[1:])):
+            raise CyclosError("window values must be strictly ascending")
+    kept, _ = _coincident_pairs(train, osc, deltas[-1], multiplicity_cap, count_overflow=False)
     kept.sort(key=operator.itemgetter(4))  # by phase distance: each window keeps a prefix
     distances = [d for *_, d in kept]
     interned: dict[tuple[int, int], tuple[int, int]] = {}  # one tuple per neuron pair

@@ -267,10 +267,11 @@ def peak_persistence(acc: Accumulator, thresholds: Sequence[float]) -> Barcode:
     height h and merged at saddle s yields the bar (-h, -s); persistence
     lengths are peak - saddle either way.
     """
-    if not all(map(is_finite, thresholds)):
-        raise PreconditionError("thresholds must be finite")
-    if any(b >= a for a, b in zip(thresholds, thresholds[1:])):
-        raise PreconditionError("thresholds must be strictly descending")
+    with malformed("thresholds", PreconditionError):  # not a sequence
+        if not all(map(is_finite, thresholds)):
+            raise PreconditionError("thresholds must be finite")
+        if any(b >= a for a, b in zip(thresholds, thresholds[1:])):
+            raise PreconditionError("thresholds must be strictly descending")
     n = len(thresholds)
     values = [-t for t in thresholds]
     # index of the first threshold each cell reaches; n when it reaches none

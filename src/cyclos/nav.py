@@ -147,12 +147,12 @@ def check_feasible(path: Sequence[Point], ws: Workspace) -> None:
 
 def winding_vector(loop: Sequence[Point], ws: Workspace) -> WindingVector:
     """Integer windings of a closed loop around every obstacle."""
-    if len(loop) < 3:
-        raise CyclosError("loop needs at least three points")
-    if math.dist(loop[0], loop[-1]) > DEFAULT_ENDPOINT_TOL:
-        raise ClosureError(
-            f"loop endpoints differ by {math.dist(loop[0], loop[-1]):.3g} m"
-        )
+    with malformed("loop"):  # not a sequence of points
+        if len(loop) < 3:
+            raise CyclosError("loop needs at least three points")
+        gap = math.dist(loop[0], loop[-1])
+    if gap > DEFAULT_ENDPOINT_TOL:
+        raise ClosureError(f"loop endpoints differ by {gap:.3g} m")
     check_feasible(loop, ws)
     windings = []
     for disk in ws.obstacles:

@@ -11,8 +11,9 @@ vertex id); H1 deaths come from reducing each triangle's column, its
 A window ladder repeats a few hundred edges thousands of times. Sort keys
 are cached per simplex object, so callers should pass one tuple per edge
 (``coincidence_persistence`` interns them); the copies an edge gains at one
-window share one step object, and the essential H1 classes born at one step
-value share one bar.
+window share one step object, whose repeats create H1 classes without a
+union-find lookup, and the essential H1 classes born at one step value share
+one bar.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .chaincore import ChainComplex, UnionFind, faces, reduce_column, side_edges
-from .errors import CyclosError, FiltrationError, MonotonicityError, is_real, malformed
+from .errors import CyclosError, FiltrationError, MonotonicityError, is_int, is_real, malformed
 
 INF = math.inf
 
@@ -142,8 +143,9 @@ class Bar:
     death: float  # math.inf for essential classes
 
     def __post_init__(self):
-        if not self.birth <= self.death:  # also rejects NaN
-            raise CyclosError(f"bar needs birth <= death: {self}")
+        if not (is_int(self.dim) and is_real(self.birth) and is_real(self.death)
+                and self.birth <= self.death):  # also rejects NaN
+            raise CyclosError(f"a bar needs an integer dim and real birth <= death: {self}")
 
     @property
     def length(self) -> float:
@@ -182,15 +184,17 @@ def compute_barcode(filtration: Filtration) -> Barcode:
     pos = 0  # position of the next edge
     creator_edges: dict[int, float] = {}  # edge position -> birth value of its H1 class
     owners: dict[int, dict[int, int]] = {}  # low edge position -> reduced triangle column
+    previous = None  # the step before: window_filtration repeats one object per parallel copy
 
     for step in filtration.steps:
         if step.kind == "vertex":
             uf.add(step.simplex[0])
             vertex_birth[step.simplex[0]] = step.value
         elif step.kind == "edge":
-            tail, head = step.simplex
-            rt, rh = uf.find(tail), uf.find(head)
-            if rt == rh:
+            if step is not previous:  # a repeated copy's ends were joined by the first
+                tail, head = step.simplex
+                rt, rh = uf.find(tail), uf.find(head)
+            if step is previous or rt == rh:
                 creator_edges[pos] = step.value
             else:
                 elder, younger = sorted((rt, rh), key=elder_order)
@@ -208,6 +212,7 @@ def compute_barcode(filtration: Filtration) -> Barcode:
                 owners[low] = column
                 bars.append(Bar(1, creator_edges.pop(low), step.value))
             # empty column: triangle creates an H2 class, out of scope
+        previous = step
 
     roots = {uf.find(v) for v in uf.parent}
     for root in sorted(roots, key=elder_order):

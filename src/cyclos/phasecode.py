@@ -59,12 +59,12 @@ def winding_number(
     closed: bool,
     closure_tol: float = DEFAULT_CLOSURE_TOL,
 ) -> int:
-    if len(phases) < 2:
-        raise CyclosError("need at least two phase samples")
     if not (is_finite(closure_tol) and closure_tol >= 0):
         raise CyclosError(f"closure tolerance must be finite and >= 0, got {closure_tol!r}")
     total = 0.0
-    with malformed("phase samples"):  # a sample that is not a number
+    with malformed("phase samples"):  # not a sequence, or a sample that is not a number
+        if len(phases) < 2:
+            raise CyclosError("need at least two phase samples")
         if closed and (gap := circular_distance(phases[0], phases[-1])) > closure_tol:
             raise ClosureError(f"path not closed: endpoints differ by {gap:.3g} rad")
         for a, b in zip(phases, phases[1:]):

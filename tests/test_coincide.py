@@ -5,7 +5,7 @@ import random
 from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclos import chaincore, coincide
 from cyclos.chaincore import Chain1, ChainComplex
@@ -654,3 +654,39 @@ class TestSaturatedSweep:
         runs = record_phase_runs(monkeypatch)
         assert_matches_reference(train, OSC, limit, 1)
         assert runs == [None]
+
+
+@st.composite
+def saturating_ladders(draw):
+    """Saturating inputs with a window ladder that ends at the drawn limit."""
+    train, osc, limit, cap = draw(saturating_inputs())
+    narrower = draw(st.lists(st.floats(1e-3, limit), max_size=4))
+    return train, osc, sorted(set(narrower) | {limit}), cap
+
+
+class TestPersistenceSkipsOverflow:
+    @settings(max_examples=300, deadline=None)
+    @given(saturating_ladders())
+    @example((SpikeTrain(1, [(0, 0.0), (0, 0.125), (0, 0.25)]), OSC, [0.1, 0.3], 1))
+    @example((SpikeTrain(2, [(0, time_at_phase(0.0, lap=k)) for k in range(4)]
+                         + [(1, time_at_phase(0.1, lap=k)) for k in range(4)]), OSC, [0.3], 1))
+    def test_matches_reference_pairs(self, inputs):
+        train, osc, deltas, cap = inputs
+        kept, _ = reference_coincident_pairs(train, osc, deltas[-1], cap)
+        graphs = {delta: ChainComplex(range(train.neurons),
+                                      [(i, j) for i, j, _, _, d in kept if d <= delta])
+                  for delta in deltas}
+        expected = compute_barcode(window_filtration(graphs))
+        barcode = coincide.coincidence_persistence(train, osc, deltas, cap)
+        assert barcode.to_json_obj() == expected.to_json_obj()
+
+    def test_saturated_neuron_takes_no_sweep(self, monkeypatch):
+        # the train of TestSaturatedSweep, whose overflow count takes the sweep
+        spikes = [(0, time_at_phase(0.0, lap=k)) for k in range(6)]
+        spikes += [(1, time_at_phase(0.1, lap=k)) for k in range(6)]
+        train = SpikeTrain(2, spikes)
+        runs = record_phase_runs(monkeypatch)
+        coincide.coincidence_persistence(train, OSC, [0.2, 0.3], 1)
+        assert runs == []
+        coincide.closed_part(train, OSC, CoincidenceWindow(0.3), 1)
+        assert runs

@@ -1,4 +1,5 @@
-"""The shared input checks in ``cyclos.errors`` against their plain ABC definitions."""
+"""The shared input checks in ``cyclos.errors`` against their plain ABC definitions, and
+the entry checks that turn a non-collection argument into a ``CyclosError``."""
 
 import math
 import numbers
@@ -8,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cyclos.errors import is_finite, is_int
+from cyclos import cech, coincide, ght, nav, phasecode
+from cyclos.errors import CyclosError, is_finite, is_int
 
 
 def reference_is_int(x):
@@ -38,3 +40,23 @@ def reference_is_finite(x):
 def test_checks_match_their_abc_definitions(x, integer, finite):
     assert is_int(x) is reference_is_int(x) is integer
     assert is_finite(x) is reference_is_finite(x) is finite
+
+
+TRAIN = coincide.SpikeTrain(2, [(0, 0.0), (1, 0.01)])
+OSC = phasecode.Oscillator(8.0)
+ACC = ght.Accumulator(ght.AccumulatorConfig((0.0, 1.0, 0.0, 1.0), (2, 2)), np.ones((2, 2)), 0, 0.0)
+WS = nav.Workspace((), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: coincide.coincidence_persistence(TRAIN, OSC, 5), id="coincide-deltas"),
+    pytest.param(lambda: ght.peak_persistence(ACC, None), id="ght-thresholds"),
+    pytest.param(lambda: cech.SheafData.build(None, {}), id="cech-sections"),
+    pytest.param(lambda: cech.Pairing.build(None, {}), id="cech-open-forms"),
+    pytest.param(lambda: cech.CosheafData.build([[1.0]], None), id="cech-extensions"),
+    pytest.param(lambda: phasecode.winding_number(5, False), id="phasecode-phases"),
+    pytest.param(lambda: nav.winding_vector(5, WS), id="nav-loop"),
+])
+def test_non_collection_arguments_raise_cyclos_errors(call):
+    with pytest.raises(CyclosError, match="malformed"):
+        call()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cyclos.chaincore import ChainComplex, UnionFind, betti, side_edges
-from cyclos.errors import FiltrationError, MonotonicityError
+from cyclos.errors import CyclosError, FiltrationError, MonotonicityError
 from cyclos.persist import (
     _DIM_RANK,
     Bar,
@@ -178,6 +178,25 @@ class TestFiltrationOrder:
                                                 _simplex_sort_key(s.simplex)))
         # FiltrationStep equality cannot tell 1 from True, so compare the objects
         assert list(map(id, Filtration(steps).steps)) == list(map(id, expected))
+
+
+class TestBar:
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: Bar(0, "a", "b"), id="string-ends"),
+        pytest.param(lambda: Bar(0, 0.0, "x"), id="string-death"),
+        pytest.param(lambda: Bar(0, None, INF), id="none-birth"),
+        pytest.param(lambda: Bar(0.0, 0.0, 1.0), id="float-dim"),
+        pytest.param(lambda: Bar(True, 0.0, 1.0), id="bool-dim"),
+        pytest.param(lambda: Bar(0, math.nan, 1.0), id="nan-birth"),
+        pytest.param(lambda: Bar(0, 2.0, 1.0), id="birth-after-death"),
+    ])
+    def test_malformed_bar_rejected(self, build):
+        with pytest.raises(CyclosError):
+            build()
+
+    def test_numbers_of_any_real_type_accepted(self):
+        assert Bar(np.int64(1), np.float64(0.5), INF).length == INF
+        assert Bar(0, 1, 3).length == 2
 
 
 class TestComputeBarcode:
@@ -535,6 +554,32 @@ class TestWindowFiltrationOracle:
         assert [(s.value, s.simplex) for s in steps[2:]] == [
             (0.1, (0, 1)), (0.2, (0, 1)), (0.2, (0, 1)), (0.2, (1, 0))]
         assert steps[3] is steps[4]
+
+
+@st.composite
+def repeated_steps(draw):
+    """A small filtration's steps, each edge and triangle with a copy count of 1 to 3."""
+    filt = draw(small_filtrations())
+    return [(step, 1 if step.kind == "vertex" else draw(st.integers(1, 3))) for step in filt.steps]
+
+
+def doubled(filt):
+    return [(step, 1 if step.kind == "vertex" else 2) for step in filt.steps]
+
+
+class TestRepeatedStepObjects:
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_steps())
+    @example(doubled(MOEBIUS))
+    @example(doubled(surface_filtration(RP2_TRIANGLES)))
+    def test_shared_object_matches_distinct_equal_steps(self, drawn):
+        # window_filtration repeats one step object per parallel copy
+        shared = [copy for step, k in drawn for copy in [step] * k]
+        distinct = [FiltrationStep(step.value, step.kind, step.simplex)
+                    for step, k in drawn for _ in range(k)]
+        rows = TestComputeBarcodeOracle._rows
+        assert rows(compute_barcode(Filtration(shared))) == rows(
+            compute_barcode(Filtration(distinct)))
 
 
 class TestComputeBarcodeOracle:
