@@ -9,8 +9,9 @@ Pairs are enumerated and capped per ordered neuron pair in one pass, and
 each kept pair carries its phase distance, so a ladder of windows takes
 prefixes of one list sorted by distance instead of measuring every pair
 again. Once all pairs of a neuron are full, its spikes keep no pair:
-:func:`closed_part` counts their overflow per neuron from one phase window
-of the later spikes, and :func:`coincidence_persistence` skips them.
+:func:`closed_part` still pairs them to count the overflow that
+:func:`trial_invariance` reports, and :func:`coincidence_persistence`, which
+reports none, skips them.
 
 A :class:`CoincidenceResult` holds the graph and the overflow; its closed
 part is computed on first access. Jittered trials of one pattern often give
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -79,22 +80,18 @@ class CoincidenceWindow:
 class CoincidenceResult:
     """A train's coincidence graph and, per ordered neuron pair, the pairs over the cap.
 
-    The edge aggregate and its closed part are computed on first access and
-    kept, so a caller pays only for what it reads.
+    The closed part is computed on first access and kept, so a caller pays
+    only for what it reads.
     """
 
     graph: ChainComplex
     multiplicity_overflow: dict[tuple[int, int], int]
 
     @cached_property
-    def aggregate(self) -> Chain1:
-        """Every edge once."""
-        return Chain1.from_dict({idx: 1 for idx in range(len(self.graph.edges))})
-
-    @cached_property
     def closed(self) -> Chain1:
-        """The aggregate projected onto the cycle space."""
-        return chaincore.project_to_cycles(self.aggregate, self.graph)
+        """The edge aggregate, every edge once, projected onto the cycle space."""
+        aggregate = Chain1.from_dict({idx: 1 for idx in range(len(self.graph.edges))})
+        return chaincore.project_to_cycles(aggregate, self.graph)
 
 
 def _require(value, kind: type, what: str) -> None:
@@ -111,7 +108,9 @@ def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int
     circular phase distance at most `limit`, in time order, where at most
     `cap` pairs are kept per (i, j); the rest are counted in the overflow,
     keyed in the order of each pair's first overflow, or None without
-    `count_overflow`.
+    `count_overflow`. Every spike pairs with the later spikes in one time-ordered
+    loop; without the count, a neuron's spikes are skipped once all its pairs
+    hold `cap`.
     """
     if not (is_int(cap) and cap >= 1):
         raise PreconditionError(f"multiplicity cap must be a positive integer, got {cap!r}")
@@ -122,33 +121,13 @@ def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int
     counts: dict[tuple[int, int], int] = {}
     overflow: dict[tuple[int, int], int] | None = {} if count_overflow else None
     others = len(set(neurons)) - 1
-    full = [0] * train.neurons  # per neuron i: the (i, j) past the cap, or at it if not counted
-    later = None  # the spikes from `indexed` on, in phase order
+    full = [0] * train.neurons  # per neuron i: the (i, j) at the cap, counted only without overflow
     for a, (i, t, phase_a) in enumerate(zip(neurons, times, phases)):
-        if full[i] == others and overflow is None:
+        if full[i] == others:
             continue  # no partner of i is kept
         # spikes are in time order and simultaneous ones stay unordered, so the
         # partners of spike a start after its time tie
         start = bisect_right(times, t, a + 1)
-        if full[i] == others:
-            # i is saturated: count its partners per neuron in one phase window
-            if later is None:
-                later = sorted(range(start, len(times)), key=phases.__getitem__)
-                later_phases = [phases[b] for b in later]
-                indexed = start
-            for b in range(indexed, start):  # the earliest spike left leads its phase tie
-                k = bisect_left(later_phases, phases[b])
-                del later[k], later_phases[k]
-            indexed = start
-            run = _phase_run(later_phases, phase_a, limit)
-            if run is not None:
-                y2, y1, x1, x2 = run
-                window = later[y1:x1] + later[:y2] + later[x2:]
-                partners = Counter(map(neurons.__getitem__, window))
-                partners.pop(i, None)  # self-pairs carry no relation
-                for j, n in partners.items():
-                    overflow[(i, j)] += n
-                continue
         for j, t_next, phase_b in zip(neurons[start:], times[start:], phases[start:]):
             if i == j:
                 continue  # self-pairs carry no relation
@@ -165,43 +144,9 @@ def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int
                         full[i] += 1
                         if full[i] == others:
                             break
-                elif overflow is None:
-                    continue
-                elif key in overflow:
-                    overflow[key] += 1
-                else:
-                    overflow[key] = 1
-                    full[i] += 1
+                elif overflow is not None:
+                    overflow[key] = overflow.get(key, 0) + 1
     return kept, overflow
-
-
-def _phase_run(phases: Sequence[float], center: float, limit: float):
-    """Bounds (y2, y1, x1, x2): the sorted `phases` within circular distance
-    `limit` < pi of `center` are phases[y1:x1] + phases[:y2] + phases[x2:].
-
-    On each side of `center` the float gap |center - p| is monotone in p, so
-    the near test (gap <= limit) holds on a run next to `center` and the wrap
-    test (2*pi - gap <= limit) on a run at the far end. Each bisected run end
-    is settled by these exact tests on its two neighbours; if one fails, None.
-    """
-    m = len(phases)
-    pos = bisect_left(phases, center)  # phases[pos:] lie at or above center
-    y1 = bisect_left(phases, center - limit, 0, pos)
-    x1 = bisect_right(phases, center + limit, pos)
-    y2 = bisect_right(phases, center + limit - TWO_PI, 0, y1)
-    x2 = bisect_left(phases, center - limit + TWO_PI, x1)
-    if (
-        (y1 == pos or center - phases[y1] <= limit)
-        and (y1 == 0 or center - phases[y1 - 1] > limit)
-        and (x1 == pos or phases[x1 - 1] - center <= limit)
-        and (x1 == m or phases[x1] - center > limit)
-        and (y2 == 0 or TWO_PI - (center - phases[y2 - 1]) <= limit)
-        and (y2 == pos or TWO_PI - (center - phases[y2]) > limit)
-        and (x2 == m or TWO_PI - (phases[x2] - center) <= limit)
-        and (x2 == pos or TWO_PI - (phases[x2 - 1] - center) > limit)
-    ):
-        return y2, y1, x1, x2
-    return None
 
 
 def closed_part(
@@ -327,7 +272,7 @@ def coincidence_persistence(
     _require(train, SpikeTrain, "train")
     _require(osc, Oscillator, "oscillator")
     with malformed("window values", WindowError):  # not a collection
-        if not deltas:
+        if len(deltas) == 0:  # a numpy ladder has no truth value
             raise CyclosError("need at least one window value")
         for d in deltas:
             CoincidenceWindow(d)  # range validation

@@ -36,8 +36,11 @@ def is_real(x) -> bool:
 
 
 def is_finite(x) -> bool:
-    """True for finite real numbers, including numpy's, but not for bools."""
-    return is_real(x) and math.isfinite(x)
+    """True for finite real numbers that fit in a float, including numpy's, but not for bools."""
+    try:
+        return is_real(x) and math.isfinite(x)
+    except OverflowError:  # too large for the float arithmetic every caller does next
+        return False
 
 
 class MalformedChainError(CyclosError):

@@ -77,10 +77,6 @@ class Move:
     def start(self) -> Point:
         return self.path[0]
 
-    @property
-    def end(self) -> Point:
-        return self.path[-1]
-
 
 @dataclass(frozen=True)
 class WindingVector:

@@ -38,17 +38,18 @@ class FiltrationStep:
     simplex: tuple
 
     def __post_init__(self):
-        try:
-            nan = math.isnan(self.value)
-            sized = len(self.simplex) == _DIM_RANK[self.kind] + 1
-        except (KeyError, TypeError):  # a non-real value, a simplex without a length, a bad kind
-            nan = sized = False
-        if nan:
-            raise FiltrationError(f"{self.kind} {self.simplex} has a NaN filtration value")
+        value = self.value
+        try:  # the float test spares the call for the thousands of steps a window ladder builds
+            sized = ((type(value) is float or is_real(value))
+                     and len(self.simplex) == _DIM_RANK[self.kind] + 1)
+        except (KeyError, TypeError):  # a simplex without a length, a bad kind
+            sized = False
         if not sized:
             raise FiltrationError(
                 "a filtration step is a vertex, edge or triangle of 1, 2 or 3 vertex ids "
-                f"at a real value, got {self.kind!r} {self.simplex!r} at {self.value!r}")
+                f"at a real value, got {self.kind!r} {self.simplex!r} at {value!r}")
+        if value != value:  # NaN, found without a float conversion that a huge int overflows
+            raise FiltrationError(f"{self.kind} {self.simplex} has a NaN filtration value")
 
 
 class Filtration:
@@ -88,7 +89,7 @@ class Filtration:
 
     def complex_at(self, value: float) -> ChainComplex:
         """Sub-complex of all simplices with filtration value <= value."""
-        if not is_real(value) or math.isnan(value):  # NaN would keep every simplex
+        if not is_real(value) or value != value:  # NaN would keep every simplex
             raise FiltrationError(f"a filtration is cut at a real value, got {value!r}")
         vertices, edges, triangles = [], [], []
         for step in self.steps:

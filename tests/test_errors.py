@@ -18,12 +18,19 @@ def reference_is_int(x):
 
 
 def reference_is_finite(x):
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # a real number that does not fit in a float
+        return False
 
 
 @pytest.mark.parametrize("x, integer, finite", [
     pytest.param(3, True, True, id="int"),
     pytest.param(-(2**70), True, True, id="big-int"),
+    pytest.param(10**400, True, False, id="int-beyond-float"),
+    pytest.param(Fraction(-(10**400), 3), False, False, id="fraction-beyond-float"),
     pytest.param(True, False, False, id="bool"),
     pytest.param(np.int64(3), True, True, id="numpy-int64"),
     pytest.param(np.bool_(True), False, False, id="numpy-bool"),

@@ -1,6 +1,9 @@
-"""The spike audits stay free of numpy, whose import alone costs ~60 ms, and
-``cyclos.coincide`` loads no module beyond those its sources name."""
+"""The spike audits stay free of numpy, whose import alone costs ~60 ms,
+``cyclos.coincide`` loads no module beyond those its sources name, and no
+``cyclos`` source imports a name it does not use or keeps a private helper
+that nothing calls."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -46,3 +49,48 @@ def test_coincide_loads_nothing_beyond_its_named_imports():
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     assert set(loaded.split()) == COINCIDE_OWN
+
+
+def loaded_names(node: ast.AST) -> set[str]:
+    """The names `node` reads, string annotations included."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        annotation = getattr(sub, "annotation", None) or getattr(sub, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            names |= loaded_names(ast.parse(annotation.value, mode="eval"))
+    return names
+
+
+def test_sources_hold_no_unused_import_or_private_helper():
+    modules = {path.name: ast.parse(path.read_text(), str(path))
+               for path in sorted((SRC / "cyclos").glob("*.py"))}
+    # per top-level statement: the names and attributes it reads
+    reads = {(name, index): loaded_names(stmt) | {sub.attr for sub in ast.walk(stmt)
+                                                  if isinstance(sub, ast.Attribute)}
+             for name, tree in modules.items() for index, stmt in enumerate(tree.body)}
+    problems = []
+    for name, tree in modules.items():
+        used = loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        problems.append(f"{name}:{node.lineno} imports {bound}, never used")
+        for index, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                defined = [target.id for target in stmt.targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            for helper in defined:
+                private = helper.startswith("_") and not helper.startswith("__")
+                # a reference anywhere in the package but the helper's own definition
+                if private and not any(helper in names for key, names in reads.items()
+                                       if key != (name, index)):
+                    problems.append(f"{name}:{stmt.lineno} defines {helper}, never referenced")
+    assert problems == []

@@ -168,13 +168,16 @@ def stripe_field(region, resolution):
 
 
 class TestErrorContract:
-    """Each row used to raise KeyError, IndexError, TypeError, ValueError or
-    ZeroDivisionError, or to pass silently, instead of raising a CyclosError."""
+    """Each row used to raise KeyError, IndexError, TypeError, ValueError,
+    ZeroDivisionError or OverflowError, or to pass silently, instead of raising
+    a CyclosError."""
 
     @pytest.mark.parametrize("build", [
         pytest.param(lambda: Oscillator("8"), id="oscillator-string-frequency"),
         pytest.param(lambda: Oscillator(True), id="oscillator-bool-frequency"),
         pytest.param(lambda: Oscillator(8.0, "0"), id="oscillator-string-offset"),
+        pytest.param(lambda: Oscillator(10**400), id="oscillator-huge-int-frequency"),
+        pytest.param(lambda: Oscillator(8.0, 10**400), id="oscillator-huge-int-offset"),
         pytest.param(lambda: ChainComplex([[0]]), id="complex-list-vertex"),
         pytest.param(lambda: ChainComplex([0, 1], [([0], 1)]), id="complex-list-endpoint"),
         pytest.param(lambda: ChainComplex([0, 1, 2], TRIANGLE_EDGES, [([0], 1, 2)]),
@@ -239,6 +242,8 @@ class TestErrorContract:
                      id="winding-nan-closure-tol"),
         pytest.param(lambda: winding_number([0.0, 1.0], False, -1.0),
                      id="winding-negative-closure-tol"),
+        pytest.param(lambda: winding_number([0.0, 1.0], False, 10**400),
+                     id="winding-huge-int-closure-tol"),
         pytest.param(lambda: winding_number(["a", "b"], False), id="winding-string-phases"),
         pytest.param(lambda: winding_number(["a", "b"], True), id="winding-string-closed-phases"),
     ])

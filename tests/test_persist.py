@@ -73,6 +73,9 @@ def steps_for_triangle(fill_at=None):
     return steps
 
 
+HUGE = 10**400  # an integer too large for a float
+
+
 class TestFiltrationValidation:
     def test_edge_before_vertex_rejected(self):
         with pytest.raises(FiltrationError):
@@ -117,6 +120,7 @@ class TestFiltrationValidation:
         pytest.param(lambda: FiltrationStep(0.0, "vertex", 5), id="simplex-not-a-tuple"),
         pytest.param(lambda: FiltrationStep("a", "vertex", (0,)), id="string-value"),
         pytest.param(lambda: FiltrationStep(None, "vertex", (0,)), id="none-value"),
+        pytest.param(lambda: FiltrationStep(True, "vertex", (0,)), id="bool-value"),
         pytest.param(lambda: FiltrationStep(0.0, "square", (0,)), id="unknown-kind"),
         pytest.param(lambda: FiltrationStep(0.0, ["edge"], (0, 1)), id="unhashable-kind"),
         pytest.param(lambda: Filtration([FiltrationStep(0.0, "vertex", ([0],))]),
@@ -135,6 +139,20 @@ class TestFiltrationValidation:
     def test_malformed_steps_rejected(self, build):
         with pytest.raises(FiltrationError):
             build()
+
+    @pytest.mark.parametrize("build, expected", [
+        pytest.param(lambda: FiltrationStep(HUGE, "vertex", (0,)).value, HUGE, id="step"),
+        pytest.param(lambda: Filtration(steps_for_triangle()).complex_at(HUGE).edges,
+                     ((0, 1), (1, 2), (2, 0)), id="complex-at"),
+        pytest.param(lambda: compute_barcode(window_filtration({
+            1.0: ChainComplex([0, 1, 2], [(0, 1)]),
+            HUGE: ChainComplex([0, 1, 2], [(0, 1), (1, 2), (2, 0)]),
+        })).bars, (Bar(0, 1.0, 1.0), Bar(0, 1.0, HUGE), Bar(0, 1.0, INF), Bar(1, HUGE, INF)),
+            id="window-filtration"),
+    ])
+    def test_integer_beyond_float_is_a_value(self, build, expected):
+        # a real, non-NaN value: the NaN tests make no float of it, which would overflow
+        assert build() == expected
 
     def test_json_round_trip(self):
         # steps in any order; a vertex may be given bare or as a one-id list
