@@ -622,13 +622,22 @@ TWO_SATURATED = SpikeTrain(2, [(0, time_at_phase(0.0, lap=k)) for k in range(6)]
                            + [(1, time_at_phase(0.1, lap=k)) for k in range(6)])
 
 
-class TestCappedPairLoop:
+class TestSaturatedSweep:
+    """A saturated neuron, whose every ordered pair overflows the cap, sweeps
+    its partners in the same time-ordered loop as any other neuron."""
+
     @settings(max_examples=400, deadline=None)
     @given(saturating_inputs())
-    @example((TWO_SATURATED, OSC, 0.3, 1))
     def test_matches_time_ordered_loop(self, inputs):
         assert_matches_reference(*inputs)
 
+    def test_saturated_neuron_takes_the_sweep(self):
+        assert_matches_reference(TWO_SATURATED, OSC, 0.3, 1)
+        _, overflow = coincide._coincident_pairs(TWO_SATURATED, OSC, 0.3, 1)
+        assert set(overflow) == {(0, 1), (1, 0)}
+
+
+class TestCappedPairLoop:
     def test_window_edge_decided_by_rounding(self):
         # a window edge where the float sum center + limit and the exact test
         # (phase_b - center <= limit) disagree by rounding
