@@ -71,10 +71,6 @@ class FeasibilityError(CyclosError):
     """A path intersects an obstacle interior."""
 
 
-class SamplingError(CyclosError):
-    """Numerical residual too large; input sampled too coarsely."""
-
-
 class CompositionError(CyclosError):
     """Consecutive moves do not share endpoints."""
 

@@ -25,9 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ClosureError, ConfigError, CyclosError, is_finite, is_int, malformed
-from .phasecode import Oscillator, circular_distance, winding_number, wrap_time
+from .phasecode import TWO_PI, Oscillator, circular_distance, winding_number, wrap_time
 
-TWO_PI = 2.0 * math.pi
 GATE_CENTER = 0.0  # absolute oscillator phase anchoring the theta gate
 TOTAL_REL_TOL = 1e-6  # relative tolerance on two tours' integrated totals
 TOUR_CLOSURE_TOL = 1e-6  # meters between a tour's first and last position

@@ -1,8 +1,8 @@
 """Planar homing: winding vectors around disk obstacles and order invariance.
 
 The homology class of a homing loop in a disk-punctured plane is its integer
-winding vector. Windings are summed signed subtended angles per segment
-(atan2 arithmetic); a residual check guards against under-sampled loops.
+winding vector: signed ray crossings, exact and additive over the moves that
+compose the loop (Hormann and Agathos, Comput. Geom. 2001).
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ from typing import Mapping, Sequence
 
 from .errors import (
     ClosureError, CompositionError, CyclosError, FeasibilityError, PreconditionError,
-    SamplingError, is_finite, is_int, is_real, malformed,
+    is_finite, is_int, is_real, malformed,
 )
 
 Point = tuple[float, float]
 DEFAULT_ENDPOINT_TOL = 1e-6  # meters between loop ends, consecutive moves and the base
-RESIDUAL_LIMIT = 0.01
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ class Workspace:
 
 @dataclass(frozen=True)
 class Move:
-    """Polyline path through the free space, two or more pairs of real numbers."""
+    """Polyline path through the free space: two or more pairs of reals a float can hold."""
 
     path: tuple[Point, ...]
 
@@ -72,6 +71,7 @@ class Move:
             if len(self.path) < 2 or not all(len(p) == 2 and all(map(is_real, p))
                                              for p in self.path):
                 raise CyclosError(f"a move needs two or more real pairs, got {self.path!r}")
+        _float_pairs(self.path, "move path")
 
     @property
     def start(self) -> Point:
@@ -81,6 +81,12 @@ class Move:
 @dataclass(frozen=True)
 class WindingVector:
     windings: tuple[int, ...]
+
+
+def _float_pairs(points: Sequence[Point], what: str) -> list[Point]:
+    """The points as pairs of floats, NaN and infinities kept."""
+    with malformed(what):  # not pairs of numbers, or a number beyond the float range
+        return [(float(x), float(y)) for x, y in points]
 
 
 def _segment_clears_disk(p: Point, q: Point, disk: Disk) -> bool:
@@ -99,8 +105,8 @@ def _segment_clears_disk(p: Point, q: Point, disk: Disk) -> bool:
 
 
 def check_feasible(path: Sequence[Point], ws: Workspace) -> None:
-    """Raise on the first (segment, obstacle) pair, in path then obstacle order,
-    where the segment enters the obstacle.
+    """Take the path's coordinates as floats, then raise on the first (segment,
+    obstacle) pair, in path then obstacle order, where the segment enters the obstacle.
 
     A disk whose center lies farther than radius + margin from the segment's
     bounding box along some axis is cleared without the exact test, and so
@@ -109,6 +115,7 @@ def check_feasible(path: Sequence[Point], ws: Workspace) -> None:
     rounding of both tests, so every skipped pair is one the exact test
     passes.
     """
+    path = _float_pairs(path, "path")
     if not ws.obstacles:
         return
     coords = [c for point in path for c in point]
@@ -142,32 +149,31 @@ def check_feasible(path: Sequence[Point], ws: Workspace) -> None:
 
 
 def winding_vector(loop: Sequence[Point], ws: Workspace) -> WindingVector:
-    """Integer windings of a closed loop around every obstacle."""
+    """Integer windings around every obstacle of the loop closed from its end to its start.
+
+    Winding k counts upward minus downward crossings of the ray y = c_y, x > c_x from
+    obstacle k's centre c by segments p -> q with exactly one end at y <= c_y (half-open:
+    a vertex on the ray counts once). A crossing at x = X lies right of c when
+    side = (qy - py)(X - cx) has the sign of qy - py. check_feasible keeps |X - cx| >=
+    r - 1e-12, so rounding flips that sign only if r - 1e-12 < ~1e-15 * max |coordinate|.
+    """
     with malformed("loop"):  # not a sequence of points
         if len(loop) < 3:
             raise CyclosError("loop needs at least three points")
-        gap = math.dist(loop[0], loop[-1])
+        closed = _float_pairs([*loop, loop[0]], "loop")
+    gap = math.dist(closed[0], closed[-2])
     if gap > DEFAULT_ENDPOINT_TOL:
         raise ClosureError(f"loop endpoints differ by {gap:.3g} m")
-    check_feasible(loop, ws)
+    check_feasible(closed, ws)
     windings = []
     for disk in ws.obstacles:
         cx, cy = disk.center
-        total = 0.0
-        for (px, py), (qx, qy) in zip(loop, loop[1:]):
-            ax, ay = px - cx, py - cy
-            bx, by = qx - cx, qy - cy
-            cross = ax * by - ay * bx
-            dot = ax * bx + ay * by
-            total += math.atan2(cross, dot)
-        turns = total / (2.0 * math.pi)
-        nearest = round(turns)
-        if abs(turns - nearest) >= RESIDUAL_LIMIT:
-            raise SamplingError(
-                f"winding residual {abs(turns - nearest):.3g} around {disk.center}; "
-                "loop sampled too coarsely or not closed"
-            )
-        windings.append(int(nearest))
+        winding = 0
+        for (px, py), (qx, qy) in zip(closed, closed[1:]):
+            if (py <= cy) != (qy <= cy):
+                side = (qx - px) * (cy - py) - (qy - py) * (cx - px)
+                winding += (side > 0) if py <= cy else -(side < 0)  # right of c: up +1, down -1
+        windings.append(winding)
     return WindingVector(tuple(windings))
 
 
@@ -179,11 +185,9 @@ def compose_moves(sequence: Sequence[Move], ws: Workspace) -> list[Point]:
         raise CompositionError("first move does not start at the base point")
     path: list[Point] = list(sequence[0].path)
     for idx, move in enumerate(sequence[1:], start=1):
-        if math.dist(path[-1], move.start) > DEFAULT_ENDPOINT_TOL:
-            raise CompositionError(
-                f"move {idx} starts {math.dist(path[-1], move.start):.3g} m away from "
-                "the previous endpoint"
-            )
+        gap = math.dist(path[-1], move.start)
+        if gap > DEFAULT_ENDPOINT_TOL:
+            raise CompositionError(f"move {idx} starts {gap:.3g} m away from the previous endpoint")
         path.extend(move.path[1:])
     if math.dist(path[-1], ws.base) > DEFAULT_ENDPOINT_TOL:
         raise ClosureError("composed path does not return to the base point")

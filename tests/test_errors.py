@@ -1,5 +1,6 @@
 """The shared input checks in ``cyclos.errors`` against their plain ABC definitions, and
-the entry checks that turn a non-collection argument into a ``CyclosError``."""
+the entry checks that turn a non-collection argument, or a ``nav`` point that is not a
+pair of numbers within the float range, into a ``CyclosError``."""
 
 import math
 import numbers
@@ -66,4 +67,25 @@ WS = nav.Workspace((), (0.0, 0.0))
 ])
 def test_non_collection_arguments_raise_cyclos_errors(call):
     with pytest.raises(CyclosError, match="malformed"):
+        call()
+
+
+ONE_DISK = nav.Workspace((nav.Disk((5.0, 5.0), 1.0),), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: nav.Move(((0.0, 0.0), (10**400, 0.0))), "OverflowError", id="nav-move"),
+    pytest.param(lambda: nav.check_feasible([(10**400, 0.0), (0.0, 0.0)], ONE_DISK),
+                 "OverflowError", id="nav-check-feasible-start"),
+    pytest.param(lambda: nav.check_feasible([(0.0, 0.0), (0.0, 10**400), (0.0, 0.0)], ONE_DISK),
+                 "OverflowError", id="nav-check-feasible-middle"),
+    pytest.param(lambda: nav.winding_vector([(0.0, 0.0), (10**400, 0.0), (0.0, 1.0), (0.0, 0.0)],
+                                            ONE_DISK), "OverflowError", id="nav-winding-vector-middle"),
+    pytest.param(lambda: nav.winding_vector([(0.0, 0.0), ("a", "b"), (0.0, 1.0), (0.0, 0.0)],
+                                            ONE_DISK), "ValueError", id="nav-winding-vector-string"),
+    pytest.param(lambda: nav.check_feasible([(0.0, 0.0, 0.0), (3.0, 0.0, 1.0)], ONE_DISK),
+                 "ValueError", id="nav-check-feasible-three-coordinates"),
+])
+def test_nav_points_that_are_not_float_pairs_raise_cyclos_errors(call, match):
+    with pytest.raises(CyclosError, match=match):
         call()

@@ -1,7 +1,7 @@
 """The spike audits stay free of numpy, whose import alone costs ~60 ms,
-``cyclos.coincide`` loads no module beyond those its sources name, and no
+``cyclos.coincide`` loads no module beyond those its sources name, no
 ``cyclos`` source imports a name it does not use or keeps a private helper
-that nothing calls."""
+that nothing calls, and every error class is named outside ``errors.py``."""
 
 import ast
 import os
@@ -63,9 +63,14 @@ def loaded_names(node: ast.AST) -> set[str]:
     return names
 
 
+def source_trees() -> dict[str, ast.Module]:
+    """The parsed ``cyclos`` sources by file name."""
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted((SRC / "cyclos").glob("*.py"))}
+
+
 def test_sources_hold_no_unused_import_or_private_helper():
-    modules = {path.name: ast.parse(path.read_text(), str(path))
-               for path in sorted((SRC / "cyclos").glob("*.py"))}
+    modules = source_trees()
     # per top-level statement: the names and attributes it reads
     reads = {(name, index): loaded_names(stmt) | {sub.attr for sub in ast.walk(stmt)
                                                   if isinstance(sub, ast.Attribute)}
@@ -94,3 +99,16 @@ def test_sources_hold_no_unused_import_or_private_helper():
                                        if key != (name, index)):
                     problems.append(f"{name}:{stmt.lineno} defines {helper}, never referenced")
     assert problems == []
+
+
+def test_every_error_class_is_named_by_another_module():
+    # a failure mode whose raise is deleted must take its class along
+    modules = source_trees()
+    subclasses = set()
+    for stmt in modules.pop("errors.py").body:
+        if isinstance(stmt, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id in subclasses | {"CyclosError"}
+                for base in stmt.bases):
+            subclasses.add(stmt.name)
+    named = set().union(*map(loaded_names, modules.values()))
+    assert subclasses and sorted(subclasses - named) == []

@@ -1,7 +1,9 @@
 """Winding vectors, move composition, order invariance, product classes.
 
-Winding expectations come from an independent numpy oracle (dense resampling
-plus np.unwrap on angles), not from the package's per-segment arithmetic.
+Winding expectations come from two references independent of the package's
+ray-crossing count: a numpy oracle (dense resampling plus np.unwrap on angles)
+and ``reference_winding``, the sum of the atan2 angles each segment subtends,
+rounded to whole turns, with the residual of that rounding.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclos import nav
-from cyclos.errors import ClosureError, CompositionError, FeasibilityError, SamplingError
+from cyclos.errors import ClosureError, CompositionError, FeasibilityError
 from cyclos.nav import Disk, Move, Workspace
 
 
@@ -37,6 +39,18 @@ def winding_oracle(loop, center):
     arr = np.array(dense) - np.array(center)
     angles = np.unwrap(np.arctan2(arr[:, 1], arr[:, 0]))
     return round((angles[-1] - angles[0]) / (2 * math.pi))
+
+
+def reference_winding(loop, center):
+    """The atan2 angles the loop's segments subtend at `center`, summed in whole
+    turns, and the residual of that rounding."""
+    cx, cy = center
+    total = 0.0
+    for (px, py), (qx, qy) in zip(loop, loop[1:]):
+        ax, ay, bx, by = px - cx, py - cy, qx - cx, qy - cy
+        total += math.atan2(ax * by - ay * bx, ax * bx + ay * by)
+    turns = total / (2 * math.pi)
+    return round(turns), abs(turns - round(turns))
 
 
 WS2 = Workspace((Disk((0.0, 0.0), 0.5), Disk((4.0, 0.0), 0.5)), base=(2.0, -3.0))
@@ -73,6 +87,14 @@ class TestWindingVector:
         with pytest.raises(FeasibilityError):
             nav.winding_vector(loop, WS2)
 
+    def test_loop_closed_within_tolerance_counts_its_closing_segment(self):
+        # the ends are 1e-7 apart; the open polyline subtends 1.125 turns
+        ws = Workspace((Disk((0.0, 0.0), 1e-8),), base=(1.0, 0.0))
+        loop = [(1e-7, 0.0), (0.0, 1e-7), (-1e-7, 0.0), (0.0, -1e-7), (1e-7, 1e-7)]
+        assert reference_winding(loop, (0.0, 0.0)) == (1, pytest.approx(0.125))
+        assert reference_winding(loop + loop[:1], (0.0, 0.0)) == (1, pytest.approx(0.0))
+        assert nav.winding_vector(loop, ws).windings == (1,)
+
     def test_randomized_against_unwrap_oracle(self):
         rng = random.Random(13)
         for _ in range(40):
@@ -89,7 +111,7 @@ class TestWindingVector:
             # keep the loop away from obstacle 2 and feasible in WS2
             try:
                 vec = nav.winding_vector(loop, WS2)
-            except (FeasibilityError, SamplingError):
+            except FeasibilityError:
                 continue
             assert vec.windings[0] == winding_oracle(loop, (0.0, 0.0))
             assert vec.windings[1] == winding_oracle(loop, (4.0, 0.0))
@@ -290,3 +312,41 @@ class TestCheckFeasibleOracle:
         path = [(-4.0, -4.0), point, (6.0, 6.0)]
         assert feasibility_outcome(nav.check_feasible, path, WS2) == feasibility_outcome(
             reference_check_feasible, path, WS2)
+
+
+@st.composite
+def ray_loops(draw):
+    """Exactly closed loops winding -2..2 times around one disk, radii 2.5r to 5r,
+    with many vertices exactly on the line y = c_y, either side of the centre."""
+    cx, cy = draw(st.floats(-100, 100)), draw(st.floats(-100, 100))
+    r = draw(st.floats(0.01, 10))
+    turns = draw(st.integers(-2, 2))
+    n = draw(st.integers(4 * abs(turns) + 3, 4 * abs(turns) + 12))
+    start = draw(st.sampled_from([0.0, math.pi]) | st.floats(0, 2 * math.pi))
+    loop = []
+    for i in range(n):
+        angle = start + 2 * math.pi * turns * i / n + draw(st.just(0.0) | st.floats(-0.3, 0.3))
+        rho = r * draw(st.floats(2.5, 5.0))
+        if abs(math.sin(angle)) < 0.5 and draw(st.booleans()):
+            loop.append((cx + math.copysign(rho, math.cos(angle)), cy))
+        else:
+            loop.append((cx + rho * math.cos(angle), cy + rho * math.sin(angle)))
+    return loop + loop[:1], Workspace((Disk((cx, cy), r),), base=(cx + 6 * r, cy))
+
+
+def closed_near_tangent_paths():
+    return near_tangent_paths().map(lambda case: (case[0] + case[0][:1], case[1]))
+
+
+class TestWindingOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(ray_loops() | closed_near_tangent_paths())
+    def test_crossings_match_atan2_reference(self, case):
+        loop, ws = case
+        try:
+            windings = nav.winding_vector(loop, ws).windings
+        except FeasibilityError:
+            return  # TestCheckFeasibleOracle checks the rejection
+        reference = [reference_winding(loop, disk.center) for disk in ws.obstacles]
+        assert windings == tuple(turns for turns, _ in reference)
+        assert all(residual < 0.01 for _, residual in reference)
