@@ -8,10 +8,10 @@ what survives is exactly the closed, reproducible part of the train.
 Pairs are enumerated and capped per ordered neuron pair in one pass, and
 each kept pair carries its phase distance, so a ladder of windows takes
 prefixes of one list sorted by distance instead of measuring every pair
-again. Once all pairs of a neuron are full, its spikes keep no pair:
-:func:`closed_part` still pairs them to count the overflow that
-:func:`trial_invariance` reports, and :func:`coincidence_persistence`, which
-reports none, skips them.
+again. Once a neuron's pairs with every neuron that still fires later are
+full, its spikes keep no pair: :func:`closed_part` still pairs them to count
+the overflow that :func:`trial_invariance` reports, and
+:func:`coincidence_persistence`, which reports none, skips them.
 
 A :class:`CoincidenceResult` holds the graph and the overflow; its closed
 part is computed on first access. Jittered trials of one pattern often give
@@ -109,8 +109,8 @@ def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int
     `cap` pairs are kept per (i, j); the rest are counted in the overflow,
     keyed in the order of each pair's first overflow, or None without
     `count_overflow`. Every spike pairs with the later spikes in one time-ordered
-    loop; without the count, a neuron's spikes are skipped once all its pairs
-    hold `cap`.
+    loop. A spike is skipped when no other neuron fires after it, and, without
+    the count, when each neuron that does already holds `cap` pairs with it.
     """
     if not (is_int(cap) and cap >= 1):
         raise PreconditionError(f"multiplicity cap must be a positive integer, got {cap!r}")
@@ -120,9 +120,19 @@ def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int
     kept = []
     counts: dict[tuple[int, int], int] = {}
     overflow: dict[tuple[int, int], int] | None = {} if count_overflow else None
-    others = len(set(neurons)) - 1
-    full = [0] * train.neurons  # per neuron i: the (i, j) at the cap, counted only without overflow
+    last = dict(zip(neurons, times))  # each neuron's last spike time
+    # neurons in the order their last spike passes, then a sentinel
+    ends = sorted((t_end, j) for j, t_end in last.items()) + [(math.inf, -1)]
+    passed = 0  # neurons whose last spike is at or before the current one
+    # per neuron i: the later-firing j with (i, j) at the cap, counted only without overflow
+    full = [0] * train.neurons
+    capped_by: list[list[int]] = [[] for _ in range(train.neurons)]  # j -> each i counting it
     for a, (i, t, phase_a) in enumerate(zip(neurons, times, phases)):
+        while ends[passed][0] <= t:  # j fires no more after t: it stops counting in full
+            for held in capped_by[ends[passed][1]]:
+                full[held] -= 1
+            passed += 1
+        others = len(last) - passed - (last[i] > t)  # neurons j != i that fire after t
         if full[i] == others:
             continue  # no partner of i is kept
         # spikes are in time order and simultaneous ones stay unordered, so the
@@ -142,6 +152,7 @@ def _coincident_pairs(train: SpikeTrain, osc: Oscillator, limit: float, cap: int
                     kept.append((i, j, t, t_next, d))
                     if n == cap and overflow is None:
                         full[i] += 1
+                        capped_by[j].append(i)
                         if full[i] == others:
                             break
                 elif overflow is not None:

@@ -125,7 +125,6 @@ class Accumulator:
     config: AccumulatorConfig
     grid: np.ndarray  # shape (ny, nx)
     overflow_count: int
-    overflow_weight: float
 
 
 @dataclass(frozen=True)
@@ -162,12 +161,10 @@ def accumulate(
     nx, ny = config.shape
     rows = [[0.0] * nx for _ in range(ny)]
     overflow_count = 0
-    overflow_weight = 0.0
     if config.kernel == "delta":
         for _, ix, iy, _, _ in votes:
             if ix < 0:
                 overflow_count += 1
-                overflow_weight += 1.0
             else:
                 rows[iy][ix] += 1.0
     else:
@@ -185,7 +182,6 @@ def accumulate(
         for _, ix, iy, px, py in votes:
             if ix < 0:
                 overflow_count += 1
-                overflow_weight += 1.0
                 continue
             columns = range(max(0, ix - reach_x), min(nx, ix + reach_x + 1))
             for jy in range(max(0, iy - reach_y), min(ny, iy + reach_y + 1)):
@@ -196,7 +192,7 @@ def accumulate(
                     if dist_sq <= reach_sq:
                         row[jx] += exp(-0.5 * dist_sq / sigma_sq)
     grid = np.array(rows, dtype=float)
-    return Accumulator(config, grid, overflow_count, overflow_weight)
+    return Accumulator(config, grid, overflow_count)
 
 
 def argmax_peak(acc: Accumulator) -> PeakResult:

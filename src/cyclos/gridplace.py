@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ClosureError, ConfigError, CyclosError, is_finite, is_int, malformed
-from .phasecode import TWO_PI, Oscillator, circular_distance, winding_number, wrap_time
+from .phasecode import TWO_PI, Oscillator, circular_distance, winding_number, wrap_phase, wrap_time
 
 GATE_CENTER = 0.0  # absolute oscillator phase anchoring the theta gate
 TOTAL_REL_TOL = 1e-6  # relative tolerance on two tours' integrated totals
@@ -110,9 +110,7 @@ class Trajectory2D:
 
 
 def grid_phase(cell: GridCell, x: tuple[float, float]) -> float:
-    raw = cell.wavevector[0] * x[0] + cell.wavevector[1] * x[1] + cell.offset
-    wrapped = raw - TWO_PI * math.floor(raw / TWO_PI)
-    return 0.0 if wrapped >= TWO_PI else wrapped
+    return wrap_phase(cell.wavevector[0] * x[0] + cell.wavevector[1] * x[1] + cell.offset)
 
 
 def _von_mises_kappa(delta: float) -> float:
@@ -280,10 +278,10 @@ def tour_phase_windings(
     if reverse:
         points = list(reversed(points))
     theta_seq = [wrap_time(t, osc) for t, _ in points]
-    out = [winding_number(theta_seq, closed=True, closure_tol=1e-6)]
+    out = [winding_number(theta_seq)]
     for cell in cells:
         phases = [grid_phase(cell, pos) for _, pos in points]
-        out.append(winding_number(phases, closed=True, closure_tol=1e-6))
+        out.append(winding_number(phases))
     return tuple(out)
 
 

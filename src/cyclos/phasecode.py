@@ -1,8 +1,9 @@
-"""Phase wrapping onto the circle and winding numbers.
+"""Phase wrapping onto the circle and winding numbers of closed phase paths.
 
 Unwrapping picks the nearest branch, so inputs must be sampled densely
 enough that consecutive gaps stay below pi; that contract is enforced, not
-guessed around.
+guessed around. A winding number is taken only over a closed path, since
+the rounded turn count of an open one is not a homology class.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Sequence
 from .errors import ClosureError, CyclosError, UnwrapError, is_finite, malformed
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_CLOSURE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,15 @@ class Oscillator:
         return 1.0 / self.frequency_hz
 
 
-def wrap_time(t: float, osc: Oscillator) -> float:
-    """Phase of the oscillator at time t, reduced to [0, 2*pi)."""
-    raw = TWO_PI * osc.frequency_hz * t + osc.phase_offset
+def wrap_phase(raw: float) -> float:
+    """`raw` reduced to [0, 2*pi); a tiny negative value that rounds up to 2*pi gives 0.0."""
     wrapped = raw - TWO_PI * math.floor(raw / TWO_PI)
     return 0.0 if wrapped >= TWO_PI else wrapped
+
+
+def wrap_time(t: float, osc: Oscillator) -> float:
+    """Phase of the oscillator at time t, reduced to [0, 2*pi)."""
+    return wrap_phase(TWO_PI * osc.frequency_hz * t + osc.phase_offset)
 
 
 def circular_distance(a: float, b: float) -> float:
@@ -54,18 +58,13 @@ def signed_gap(a: float, b: float) -> float:
     return d
 
 
-def winding_number(
-    phases: Sequence[float],
-    closed: bool,
-    closure_tol: float = DEFAULT_CLOSURE_TOL,
-) -> int:
-    if not (is_finite(closure_tol) and closure_tol >= 0):
-        raise CyclosError(f"closure tolerance must be finite and >= 0, got {closure_tol!r}")
+def winding_number(phases: Sequence[float]) -> int:
+    """Turns of a closed phase path, whose last sample lies within 1e-6 rad of its first."""
     total = 0.0
     with malformed("phase samples"):  # not a sequence, or a sample that is not a number
         if len(phases) < 2:
             raise CyclosError("need at least two phase samples")
-        if closed and (gap := circular_distance(phases[0], phases[-1])) > closure_tol:
+        if (gap := circular_distance(phases[0], phases[-1])) > 1e-6:
             raise ClosureError(f"path not closed: endpoints differ by {gap:.3g} rad")
         for a, b in zip(phases, phases[1:]):
             total += signed_gap(a, b)

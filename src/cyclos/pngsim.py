@@ -4,16 +4,18 @@ Neurons are pure coincidence detectors: a unit fires when at least `k`
 presynaptic arrivals land within one sliding window of width `delta` ms and
 their summed weights reach the firing threshold, subject to a refractory
 period. The event queue is totally ordered by (time, neuron, synapse), so a
-run is a pure function of (network, stimuli) and draws no random
-numbers. STDP uses nearest-neighbor pairing on spike times (presynaptic
-soma time, not arrival time): a synapse whose pre spike causally drives its
-post therefore sees post - pre = conduction delay > 0 and potentiates. The
-rule lives inside `simulate`'s event loop: a pairing with post - pre = dt
-adds `a_plus * exp(-dt / tau_plus)` when dt > 0, `-a_minus * exp(dt /
-tau_minus)` when dt < 0 and nothing at coincidence, and the weight is then
-clamped to [0, net.w_max], the range `DelayNetwork` checks weights against
-(Izhikevich, "Polychronization: computation with spikes", Neural Comput.
-2006).
+run is a pure function of (network, stimuli) and draws no random numbers;
+entries equal in all three are handled alike and need no tiebreak. STDP uses
+nearest-neighbor pairing on spike times (presynaptic soma time, not arrival
+time): a synapse whose pre spike causally drives its post therefore sees
+post - pre = conduction delay > 0 and potentiates. One update in `simulate`
+serves both sides of a pairing, an arrival meeting its post neuron's last
+spike and a spike meeting each incoming synapse's last arrival: with
+post - pre = dt it adds `a_plus` times exp(-dt / tau_plus) when dt > 0,
+subtracts `a_minus` times exp(dt / tau_minus) when dt < 0 and nothing at
+coincidence, then clamps the weight to [0, net.w_max], the range
+`DelayNetwork` checks weights against (Izhikevich, "Polychronization:
+computation with spikes", Neural Comput. 2006).
 
 Buffer-order invariant: stimulus times, delays and the horizon are checked
 finite (a NaN would break the total order), and each arrival lands a positive
@@ -165,10 +167,25 @@ def simulate(
     records: list[tuple[float, int, str]] = []
     delta, k, threshold, refractory = net.delta, net.k, net.threshold, net.refractory
 
+    exp, heappush, heappop, never = math.exp, heapq.heappush, heapq.heappop, -math.inf
     if stdp is not None:
         a_plus, a_minus = stdp.a_plus, stdp.a_minus
         tau_plus, tau_minus, w_max = stdp.tau_plus, stdp.tau_minus, net.w_max
-    exp, heappush, heappop, never = math.exp, heapq.heappush, heapq.heappop, -math.inf
+
+        def pair(syn: int, dt: float) -> None:
+            """One STDP pairing with post - pre = dt on synapse `syn`."""
+            w = weights[syn]
+            if dt > 0:
+                w = w + a_plus * exp(-dt / tau_plus)
+            elif dt < 0:
+                w = w + -a_minus * exp(dt / tau_minus)
+            else:
+                w = w + 0.0  # no change at coincidence, but a -0.0 weight becomes 0.0
+            if w < 0.0:
+                w = 0.0
+            if w > w_max:
+                w = w_max
+            weights[syn] = w
 
     checked = []
     with malformed("stimulus", ConfigError):  # a stimulus that is not a pair
@@ -177,10 +194,8 @@ def simulate(
                 raise ConfigError(f"stimulus targets unknown neuron {neuron!r}")
             if not is_finite(t):
                 raise ConfigError(f"stimulus time must be finite, got {t!r}")
-            checked.append((float(t), neuron))
-    # a sorted list is a heap
-    heap = [(t, neuron, _STIMULUS, seq) for seq, (t, neuron) in enumerate(sorted(checked))]
-    seq = len(heap)
+            checked.append((float(t), neuron, _STIMULUS))
+    heap = sorted(checked)  # a sorted list is a heap
     # event times lie between the earliest stimulus and the horizon; a delay of
     # more than half an ulp there lands each arrival strictly after its spike
     reach = max(abs(heap[0][0]), horizon) if heap else 0.0
@@ -188,7 +203,7 @@ def simulate(
         raise ConfigError(f"delay {min(delays)} vanishes in rounding at time {reach}")
 
     while heap:
-        t, neuron, syn_idx, _ = heappop(heap)
+        t, neuron, syn_idx = heappop(heap)
         if t > horizon:
             break
         if syn_idx == _STIMULUS:
@@ -199,19 +214,7 @@ def simulate(
             # synaptic arrival: pair it with the post neuron's last spike
             last_arrival[syn_idx] = t
             if stdp is not None and last_spike[neuron] > never:
-                dt = last_spike[neuron] - (t - delays[syn_idx])
-                w = weights[syn_idx]
-                if dt > 0:
-                    w = w + a_plus * exp(-dt / tau_plus)
-                elif dt < 0:
-                    w = w + -a_minus * exp(dt / tau_minus)
-                else:
-                    w = w + 0.0  # no change at coincidence, but a -0.0 weight becomes 0.0
-                if w < 0.0:
-                    w = 0.0
-                if w > w_max:
-                    w = w_max
-                weights[syn_idx] = w
+                pair(syn_idx, last_spike[neuron] - (t - delays[syn_idx]))
             times, window = window_times[neuron], window_weights[neuron]
             cutoff = t - delta
             while times and times[0] < cutoff:
@@ -235,24 +238,11 @@ def simulate(
             for syn_in in incoming[neuron]:
                 arrival = last_arrival[syn_in]
                 if arrival > never:
-                    dt = t - (arrival - delays[syn_in])
-                    w = weights[syn_in]
-                    if dt > 0:
-                        w = w + a_plus * exp(-dt / tau_plus)
-                    elif dt < 0:
-                        w = w + -a_minus * exp(dt / tau_minus)
-                    else:
-                        w = w + 0.0
-                    if w < 0.0:
-                        w = 0.0
-                    if w > w_max:
-                        w = w_max
-                    weights[syn_in] = w
+                    pair(syn_in, t - (arrival - delays[syn_in]))
         for syn_out in outgoing[neuron]:
             arrival_t = t + delays[syn_out]
             if arrival_t <= horizon:
-                heappush(heap, (arrival_t, posts[syn_out], syn_out, seq))
-                seq += 1
+                heappush(heap, (arrival_t, posts[syn_out], syn_out))
 
     return EventLog(tuple(records), tuple(weights), horizon)
 

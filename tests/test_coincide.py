@@ -620,6 +620,11 @@ def assert_matches_reference(train, osc, limit, cap):
 # ordered pair overflows in the first periods
 TWO_SATURATED = SpikeTrain(2, [(0, time_at_phase(0.0, lap=k)) for k in range(6)]
                            + [(1, time_at_phase(0.1, lap=k)) for k in range(6)])
+# neuron 2 fires only before the saturating pair 0, 1 starts and neuron 3 only
+# after it ends; neuron 0 fires once more after 1 has stopped
+EARLY_AND_LATE = SpikeTrain(4, list(TWO_SATURATED.spikes)
+                            + [(2, -1.0), (0, time_at_phase(0.0, lap=6)),
+                               (3, time_at_phase(0.2, lap=7))])
 
 
 class TestSaturatedSweep:
@@ -628,6 +633,7 @@ class TestSaturatedSweep:
 
     @settings(max_examples=400, deadline=None)
     @given(saturating_inputs())
+    @example((EARLY_AND_LATE, OSC, 0.3, 1))
     def test_matches_time_ordered_loop(self, inputs):
         assert_matches_reference(*inputs)
 
@@ -674,6 +680,7 @@ class TestPersistenceSkipsOverflow:
     @example((SpikeTrain(1, [(0, 0.0), (0, 0.125), (0, 0.25)]), OSC, [0.1, 0.3], 1))
     @example((SpikeTrain(2, [(0, time_at_phase(0.0, lap=k)) for k in range(4)]
                          + [(1, time_at_phase(0.1, lap=k)) for k in range(4)]), OSC, [0.3], 1))
+    @example((EARLY_AND_LATE, OSC, [0.1, 0.3], 1))
     def test_matches_reference_pairs(self, inputs):
         train, osc, deltas, cap = inputs
         kept, _ = reference_coincident_pairs(train, osc, deltas[-1], cap)
@@ -683,3 +690,18 @@ class TestPersistenceSkipsOverflow:
         expected = compute_barcode(window_filtration(graphs))
         barcode = coincide.coincidence_persistence(train, osc, deltas, cap)
         assert barcode.to_json_obj() == expected.to_json_obj()
+
+    def test_neuron_that_fires_only_early_keeps_the_skip(self, monkeypatch):
+        # neuron 2 fires once, before the saturating pair 0, 1 starts; once each
+        # neuron's pairs with the neurons that still fire later are at the cap,
+        # its spikes skip the pair loop, so only each neuron's first spike enters it
+        entered = []
+
+        def counted(*args):
+            entered.append(args)
+            return bisect_right(*args)
+
+        monkeypatch.setattr(coincide, "bisect_right", counted)
+        train = SpikeTrain(3, list(TWO_SATURATED.spikes) + [(2, -1.0)])
+        coincide._coincident_pairs(train, OSC, 0.3, 1, count_overflow=False)
+        assert len(entered) == 3

@@ -52,7 +52,7 @@ def test_checks_match_their_abc_definitions(x, integer, finite):
 
 TRAIN = coincide.SpikeTrain(2, [(0, 0.0), (1, 0.01)])
 OSC = phasecode.Oscillator(8.0)
-ACC = ght.Accumulator(ght.AccumulatorConfig((0.0, 1.0, 0.0, 1.0), (2, 2)), np.ones((2, 2)), 0, 0.0)
+ACC = ght.Accumulator(ght.AccumulatorConfig((0.0, 1.0, 0.0, 1.0), (2, 2)), np.ones((2, 2)), 0)
 WS = nav.Workspace((), (0.0, 0.0))
 
 
@@ -62,7 +62,7 @@ WS = nav.Workspace((), (0.0, 0.0))
     pytest.param(lambda: cech.SheafData.build(None, {}), id="cech-sections"),
     pytest.param(lambda: cech.Pairing.build(None, {}), id="cech-open-forms"),
     pytest.param(lambda: cech.CosheafData.build([[1.0]], None), id="cech-extensions"),
-    pytest.param(lambda: phasecode.winding_number(5, False), id="phasecode-phases"),
+    pytest.param(lambda: phasecode.winding_number(5), id="phasecode-phases"),
     pytest.param(lambda: nav.winding_vector(5, WS), id="nav-loop"),
 ])
 def test_non_collection_arguments_raise_cyclos_errors(call):

@@ -119,12 +119,10 @@ def reference_accumulate(glimpses, table, config, re_register=True):
     nx, ny = config.shape
     grid = np.zeros((ny, nx))
     overflow_count = 0
-    overflow_weight = 0.0
     if config.kernel == "delta":
         for _, ix, iy, _, _ in votes:
             if ix < 0:
                 overflow_count += 1
-                overflow_weight += 1.0
             else:
                 grid[iy, ix] += 1.0
     else:
@@ -136,7 +134,6 @@ def reference_accumulate(glimpses, table, config, re_register=True):
         for _, ix, iy, px, py in votes:
             if ix < 0:
                 overflow_count += 1
-                overflow_weight += 1.0
                 continue
             for jy in range(max(0, iy - reach_y), min(ny, iy + reach_y + 1)):
                 for jx in range(max(0, ix - reach_x), min(nx, ix + reach_x + 1)):
@@ -144,7 +141,7 @@ def reference_accumulate(glimpses, table, config, re_register=True):
                     dist_sq = (cx - px) ** 2 + (cy - py) ** 2
                     if dist_sq <= (3.0 * config.bandwidth) ** 2:
                         grid[jy, jx] += math.exp(-0.5 * dist_sq / config.bandwidth**2)
-    return Accumulator(config, grid, overflow_count, overflow_weight)
+    return Accumulator(config, grid, overflow_count)
 
 
 @st.composite
@@ -194,22 +191,21 @@ class TestAccumulateOracle:
         want = reference_accumulate(glimpses, table, config, re_register)
         assert got.grid.shape == want.grid.shape and got.grid.dtype == want.grid.dtype
         assert got.grid.tobytes() == want.grid.tobytes()
-        assert (got.overflow_count, got.overflow_weight) == (want.overflow_count,
-                                                             want.overflow_weight)
+        assert got.overflow_count == want.overflow_count
 
 
 class TestArgmaxPeak:
     def test_tie_takes_lowest_linear_index_and_flags(self):
         grid = np.zeros((4, 4))
         grid[2, 1] = grid[1, 3] = 5.0
-        acc = Accumulator(CONFIG, grid, 0, 0.0)
+        acc = Accumulator(CONFIG, grid, 0)
         peak = argmax_peak(acc)
         assert peak.tied
         # row-major: (1, 3) precedes (2, 1)
         assert peak.point == CONFIG.cell_center(3, 1)
 
     def test_empty_accumulator_rejected(self):
-        acc = Accumulator(CONFIG, np.zeros((50, 50)), 0, 0.0)
+        acc = Accumulator(CONFIG, np.zeros((50, 50)), 0)
         with pytest.raises(NoPeakError):
             argmax_peak(acc)
 
@@ -347,13 +343,13 @@ class TestPeakPersistence:
         grid = np.zeros((5, 5))
         grid[2, 2] = 5.0
         grid[2, 1] = grid[2, 3] = 3.0
-        acc = Accumulator(CONFIG, grid, 0, 0.0)
+        acc = Accumulator(CONFIG, grid, 0)
         barcode = peak_persistence(acc, [5.0, 4.0, 3.0, 2.0, 1.0])
         essential = [b for b in barcode.bars if b.death == math.inf]
         assert len(essential) == 1 and essential[0].birth == -5.0
 
     def test_second_bump_dies_at_saddle(self):
-        acc = Accumulator(CONFIG, self._bump_grid(), 0, 0.0)
+        acc = Accumulator(CONFIG, self._bump_grid(), 0)
         barcode = peak_persistence(acc, [5.0, 4.0, 3.0, 2.0, 1.0])
         finite = [b for b in barcode.bars if b.death != math.inf]
         assert (-3.0, -2.0) in {(b.birth, b.death) for b in finite}
@@ -361,13 +357,13 @@ class TestPeakPersistence:
         assert len(essential) == 1 and essential[0].birth == -5.0
 
     def test_flat_zero_field_empty(self):
-        acc = Accumulator(CONFIG, np.zeros((5, 5)), 0, 0.0)
+        acc = Accumulator(CONFIG, np.zeros((5, 5)), 0)
         assert peak_persistence(acc, [3.0, 2.0, 1.0]).bars == ()
 
     def test_alive_bars_match_component_count(self):
         rng = np.random.default_rng(23)
         grid = rng.uniform(0, 10, size=(8, 8)).round(1)
-        acc = Accumulator(CONFIG, grid, 0, 0.0)
+        acc = Accumulator(CONFIG, grid, 0)
         thresholds = sorted({float(v) for v in grid.flat}, reverse=True)
         barcode = peak_persistence(acc, thresholds)
         for tau in thresholds:
@@ -378,7 +374,7 @@ class TestPeakPersistence:
     @given(grids_and_thresholds())
     def test_matches_per_threshold_reference(self, case):
         grid, thresholds = case
-        acc = Accumulator(CONFIG, grid, 0, 0.0)
+        acc = Accumulator(CONFIG, grid, 0)
         expected = reference_peak_persistence(acc, thresholds)
         assert peak_persistence(acc, thresholds).to_json_obj() == expected.to_json_obj()
 
@@ -391,12 +387,12 @@ class TestPeakPersistence:
         ["a"],
     ])
     def test_invalid_thresholds_rejected(self, thresholds):
-        acc = Accumulator(CONFIG, np.ones((3, 3)), 0, 0.0)
+        acc = Accumulator(CONFIG, np.ones((3, 3)), 0)
         with pytest.raises(PreconditionError):
             peak_persistence(acc, thresholds)
 
     def test_ascending_thresholds_rejected(self):
-        acc = Accumulator(CONFIG, np.ones((3, 3)), 0, 0.0)
+        acc = Accumulator(CONFIG, np.ones((3, 3)), 0)
         with pytest.raises(PreconditionError):
             peak_persistence(acc, [1.0, 2.0])
 

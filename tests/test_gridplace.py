@@ -42,6 +42,10 @@ class TestGridPhase:
         cell = GridCell((3.0, 4.0), offset=1.1)
         assert grid_phase(cell, (0.0, 0.0)) == pytest.approx(1.1)
 
+    def test_tiny_negative_phase_wraps_to_zero(self):
+        # -1e-300 + 2*pi rounds to 2*pi, which lies outside [0, 2*pi)
+        assert grid_phase(GridCell((1.0, 0.0)), (-1e-300, 0.0)) == 0.0
+
     def test_zero_wavevector_rejected(self):
         with pytest.raises(CyclosError):
             GridCell((0.0, 0.0))

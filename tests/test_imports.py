@@ -1,7 +1,8 @@
 """The spike audits stay free of numpy, whose import alone costs ~60 ms,
 ``cyclos.coincide`` loads no module beyond those its sources name, no
 ``cyclos`` source imports a name it does not use or keeps a private helper
-that nothing calls, and every error class is named outside ``errors.py``."""
+or an UPPER_CASE constant that nothing reads, and every error class is named
+outside ``errors.py``."""
 
 import ast
 import os
@@ -88,15 +89,16 @@ def test_sources_hold_no_unused_import_or_private_helper():
         for index, stmt in enumerate(tree.body):
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defined = [stmt.name]
-            elif isinstance(stmt, ast.Assign):
-                defined = [target.id for target in stmt.targets if isinstance(target, ast.Name)]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = [target.id for target in targets if isinstance(target, ast.Name)]
             else:
                 continue
             for helper in defined:
                 private = helper.startswith("_") and not helper.startswith("__")
                 # a reference anywhere in the package but the helper's own definition
-                if private and not any(helper in names for key, names in reads.items()
-                                       if key != (name, index)):
+                if (private or helper.isupper()) and not any(
+                        helper in names for key, names in reads.items() if key != (name, index)):
                     problems.append(f"{name}:{stmt.lineno} defines {helper}, never referenced")
     assert problems == []
 

@@ -238,14 +238,7 @@ class TestErrorContract:
         pytest.param(lambda: PlaceCellConfig(None, 0.1), id="place-config-no-weights"),
         pytest.param(lambda: AccumulatorConfig((0.0, 1.0, 0.0, 1.0), (2.5, 2)),
                      id="accumulator-fractional-shape"),
-        pytest.param(lambda: winding_number([0.0, 1.0, 2.0], True, math.nan),
-                     id="winding-nan-closure-tol"),
-        pytest.param(lambda: winding_number([0.0, 1.0], False, -1.0),
-                     id="winding-negative-closure-tol"),
-        pytest.param(lambda: winding_number([0.0, 1.0], False, 10**400),
-                     id="winding-huge-int-closure-tol"),
-        pytest.param(lambda: winding_number(["a", "b"], False), id="winding-string-phases"),
-        pytest.param(lambda: winding_number(["a", "b"], True), id="winding-string-closed-phases"),
+        pytest.param(lambda: winding_number(["a", "b"]), id="winding-string-phases"),
     ])
     def test_rejected_with_cyclos_error(self, build):
         with pytest.raises(CyclosError):
@@ -272,9 +265,9 @@ class TestNonFiniteInputs:
                      id="accumulator-nan-extent"),
         pytest.param(lambda: AccumulatorConfig((0.0, math.inf, 0.0, 1.0), (4, 4)),
                      id="accumulator-inf-extent"),
-        pytest.param(lambda: winding_number([0.0, math.nan, 0.0], closed=True),
+        pytest.param(lambda: winding_number([0.0, math.nan, 0.0]),
                      id="winding-nan-phase"),
-        pytest.param(lambda: winding_number([0.0, 1.0, math.inf], closed=False),
+        pytest.param(lambda: winding_number([0.0, 1.0, math.inf, 0.0]),
                      id="winding-inf-phase"),
         pytest.param(lambda: Trajectory2D(()).t_start, id="trajectory-empty"),
         pytest.param(lambda: Trajectory2D(((0.0, (0.0, 0.0)), (1.0, (math.nan, 0.0)))),

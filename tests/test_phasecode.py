@@ -37,29 +37,34 @@ class TestWrapTime:
             phase = phasecode.wrap_time(t, Oscillator(7.3, 1.2))
             assert 0.0 <= phase < TWO_PI
 
+    def test_tiny_negative_phase_wraps_to_zero(self):
+        # -1e-300 + 2*pi rounds to 2*pi, which lies outside [0, 2*pi)
+        assert phasecode.wrap_phase(-1e-300) == 0.0
+        assert phasecode.wrap_time(-1e-300 / TWO_PI, Oscillator(1.0)) == 0.0
+
 
 class TestWindingNumber:
     def test_ccw_lap(self):
         phases = [i * TWO_PI / 8 % TWO_PI for i in range(9)]
-        assert phasecode.winding_number(phases, closed=True) == 1
+        assert phasecode.winding_number(phases) == 1
 
     def test_cw_lap(self):
         phases = [(-i * TWO_PI / 8) % TWO_PI for i in range(9)]
-        assert phasecode.winding_number(phases, closed=True) == -1
+        assert phasecode.winding_number(phases) == -1
 
     def test_double_speed_modular_jumps(self):
         # jumps of k=2 bins over L=12 steps return to start with winding 2
         length = 12
         phases = [(2 * i * TWO_PI / length) % TWO_PI for i in range(length + 1)]
-        assert phasecode.winding_number(phases, closed=True) == 2
+        assert phasecode.winding_number(phases) == 2
 
     def test_ambiguous_gap_rejected(self):
         with pytest.raises(UnwrapError):
-            phasecode.winding_number([0.0, math.pi], closed=False)
+            phasecode.winding_number([0.0, math.pi, 0.0])
 
     def test_open_input_with_closed_flag_rejected(self):
         with pytest.raises(ClosureError):
-            phasecode.winding_number([0.0, 1.0, 2.0], closed=True)
+            phasecode.winding_number([0.0, 1.0, 2.0])
 
     @given(st.integers(-3, 3), st.integers(8, 40))
     def test_winding_matches_construction(self, k, n_steps):
@@ -67,13 +72,13 @@ class TestWindingNumber:
         if 2 * abs(k) >= n_steps:
             return
         phases = [(k * i * TWO_PI / n_steps) % TWO_PI for i in range(n_steps + 1)]
-        assert phasecode.winding_number(phases, closed=True) == k
+        assert phasecode.winding_number(phases) == k
 
     def test_concatenation_additivity_and_reversal(self):
         lap = [i * TWO_PI / 8 % TWO_PI for i in range(9)]
         double = lap + lap[1:]
-        assert phasecode.winding_number(double, closed=True) == 2
-        assert phasecode.winding_number(list(reversed(lap)), closed=True) == -1
+        assert phasecode.winding_number(double) == 2
+        assert phasecode.winding_number(list(reversed(lap))) == -1
 
 
 class TestTorusWinding:
@@ -83,14 +88,14 @@ class TestTorusWinding:
         # 40 Hz gamma inside 8 Hz theta over one theta period: 5 gamma laps, 1 theta lap
         theta, gamma = Oscillator(8.0), Oscillator(40.0)
         times = [i * theta.period / 256 for i in range(257)]
-        assert phasecode.winding_number([phasecode.wrap_time(t, gamma) for t in times], True) == 5
-        assert phasecode.winding_number([phasecode.wrap_time(t, theta) for t in times], True) == 1
+        assert phasecode.winding_number([phasecode.wrap_time(t, gamma) for t in times]) == 5
+        assert phasecode.winding_number([phasecode.wrap_time(t, theta) for t in times]) == 1
 
     def test_constant_point(self):
-        assert phasecode.winding_number([1.0] * 5, closed=True) == 0
-        assert phasecode.winding_number([2.0] * 5, closed=True) == 0
+        assert phasecode.winding_number([1.0] * 5) == 0
+        assert phasecode.winding_number([2.0] * 5) == 0
 
     def test_theta_only_lap(self):
         thetas = [i * TWO_PI / 8 % TWO_PI for i in range(9)]
-        assert phasecode.winding_number([0.5] * 9, closed=True) == 0
-        assert phasecode.winding_number(thetas, closed=True) == 1
+        assert phasecode.winding_number([0.5] * 9) == 0
+        assert phasecode.winding_number(thetas) == 1

@@ -399,12 +399,16 @@ def networks_and_stimuli(draw):
 CONVERGENT = DelayNetwork(4, tuple(Synapse(pre, 0, w, 1.0) for pre, w in
                                    ((1, 0.1), (2, 0.2), (3, 0.3))),
                           delta=2.0, k=3, threshold=0.1 + 0.2 + 0.3)
+# with no refractory period neuron 0 fires twice at t = 0, so its one synapse
+# pushes two arrivals equal in (time, neuron, synapse)
+TWIN_SPIKES = DelayNetwork(2, (Synapse(0, 1, 0.9, 1.0),), delta=2.0, refractory=0.0)
 
 
 class TestSimulateOracle:
     @settings(max_examples=400, deadline=None)
     @given(networks_and_stimuli())
     @example((CONVERGENT, [(1, 0.0), (2, 0.5), (3, 1.0)], 10.0, None))
+    @example((TWIN_SPIKES, [(0, 0.0), (0, 0.0)], 5.0, STDPParams(0.1, 0.1, 10.0, 10.0)))
     def test_matches_reference(self, case):
         net, stimuli, horizon, stdp = case
         got = pngsim.simulate(net, stimuli, horizon, stdp)
