@@ -94,6 +94,23 @@ def _edge_data(data: Mapping[Edge, object], edge: Edge, what: str):
         raise PreconditionError(f"nerve edge {edge} has no {what}") from None
 
 
+def _overlap_maps(entries, dims: tuple[int, ...], what: str, axis: int):
+    """The overlap dims and the pair of maps on each overlap (i, j), checked:
+    both hold the overlap on ``axis`` and open i's, then open j's, stalk on
+    the other axis."""
+    overlap_dims, maps = {}, {}
+    for key, pair in entries:
+        i, j = _edge_key(key, len(dims), what)
+        with malformed(f"{what}s on edge {key}"):
+            a, b = (_as_matrix(m, what) for m in pair)
+            if (a.shape[1 - axis] != dims[i] or b.shape[1 - axis] != dims[j]
+                    or a.shape[axis] != b.shape[axis]):
+                raise CyclosError(f"{what} shapes inconsistent on edge {(i, j)}")
+        maps[(i, j)] = (a, b)
+        overlap_dims[(i, j)] = a.shape[axis]
+    return overlap_dims, maps
+
+
 @dataclass(frozen=True)
 class SheafData:
     """Sections per open plus restriction matrices onto each overlap."""
@@ -109,17 +126,7 @@ class SheafData:
             secs = tuple(_as_matrix(s, "section").reshape(-1) for s in sections)
             entries = restrictions.items()
         dims = tuple(len(s) for s in secs)
-        rho = {}
-        overlap_dims = {}
-        for key, maps in entries:
-            i, j = _edge_key(key, len(dims), "restriction")
-            with malformed(f"restrictions on edge {key}"):
-                a, b = (_as_matrix(m, "restriction") for m in maps)
-                if a.shape[1] != dims[i] or b.shape[1] != dims[j] or a.shape[0] != b.shape[0]:
-                    raise CyclosError(f"restriction shapes inconsistent on edge {(i, j)}")
-            rho[(i, j)] = (a, b)
-            overlap_dims[(i, j)] = a.shape[0]
-        return cls(dims, secs, overlap_dims, rho)
+        return cls(dims, secs, *_overlap_maps(entries, dims, "restriction", 0))
 
 
 @dataclass(frozen=True)
@@ -137,17 +144,7 @@ class CosheafData:
             cosecs = tuple(_as_matrix(g, "co-section").reshape(-1) for g in cosections)
             entries = extensions.items()
         dims = tuple(len(g) for g in cosecs)
-        iota = {}
-        overlap_dims = {}
-        for key, maps in entries:
-            i, j = _edge_key(key, len(dims), "extension")
-            with malformed(f"extensions on edge {key}"):
-                a, b = (_as_matrix(m, "extension") for m in maps)
-                if a.shape[0] != dims[i] or b.shape[0] != dims[j] or a.shape[1] != b.shape[1]:
-                    raise CyclosError(f"extension shapes inconsistent on edge {(i, j)}")
-            iota[(i, j)] = (a, b)
-            overlap_dims[(i, j)] = a.shape[1]
-        return cls(dims, cosecs, overlap_dims, iota)
+        return cls(dims, cosecs, *_overlap_maps(entries, dims, "extension", 1))
 
 
 @dataclass(frozen=True)
@@ -257,7 +254,7 @@ def cosheaf_colimit(cosheaf: CosheafData, cover: Cover):
                 mismatches.append(((i, j), norm))
     if mismatches:
         return Obstruction("colimit", tuple(mismatches))
-    return ColimitElement(tuple(reduced[0]))
+    return ColimitElement(tuple(reduced[0]) if reduced else ())  # no opens: the zero space
 
 
 def check_naturality(
@@ -380,6 +377,8 @@ def cocycle_class(omega: Mapping[Edge, float], nerve: ChainComplex) -> CocycleCl
                 idx, value = edge_index[(edge[1], edge[0])], -float(value)
             else:
                 raise CyclosError(f"cochain edge {edge} not in the nerve")
+            if not math.isfinite(value):
+                raise CyclosError(f"cochain value on edge {edge} must be finite, got {value!r}")
             if idx in given:
                 raise PreconditionError(
                     f"cochain gives nerve edge {nerve.edges[idx]} in both orientations")

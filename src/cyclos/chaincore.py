@@ -287,9 +287,8 @@ def project_to_cycles(chain: Chain1, complex_: ChainComplex) -> Chain1:
         for i, j, sign in ((t, t, 1), (h, h, 1), (t, h, -1), (h, t, -1)):
             if i is not None and j is not None:
                 laplacian[i][j] += sign
-    phi = ratlin.solve_gaussian(laplacian, [div.get(v, 0) for v in unknowns])
-    d = math.lcm(*(x.denominator for x in phi))
-    p = {v: x.numerator * (d // x.denominator) for v, x in zip(unknowns, phi)}
+    phi, d = ratlin.solve_gaussian(laplacian, [div.get(v, 0) for v in unknowns])
+    p = dict(zip(unknowns, phi))
     out = [p.get(tail, 0) - p.get(head, 0) for tail, head in complex_.edges]
     for idx, n in numerators:
         out[idx] += d * n

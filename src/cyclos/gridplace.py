@@ -1,12 +1,13 @@
 """Grid-cell phase lattices, the theta-gated coincidence functional, and
 place-field emergence.
 
-Two evaluation modes share one kernel family:
+Two evaluation modes share one kernel family, built by one function:
 
 * :func:`tour_coincidence_total` integrates the phase-locked input along a
   trajectory (plain trapezoid rule per segment, which keeps segment
   additivity exact and makes never-aligned boxcar segments integrate to
-  exactly zero).
+  exactly zero). Each segment's last step lands on its end sample, so the
+  next segment starts from that input value.
 * :func:`place_field_map` evaluates stationary positions through a theta
   gate, a boxcar window of the same width anchored at the oscillator's zero
   phase. Only positions whose grid phases align with the gate (and hence
@@ -17,7 +18,6 @@ Two evaluation modes share one kernel family:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,6 +30,7 @@ from .phasecode import TWO_PI, Oscillator, circular_distance, winding_number, wr
 GATE_CENTER = 0.0  # absolute oscillator phase anchoring the theta gate
 TOTAL_REL_TOL = 1e-6  # relative tolerance on two tours' integrated totals
 TOUR_CLOSURE_TOL = 1e-6  # meters between a tour's first and last position
+DENSIFY_STEP = 0.01  # meters between the samples whose phases are unwrapped
 
 
 @dataclass(frozen=True)
@@ -113,48 +114,13 @@ def grid_phase(cell: GridCell, x: tuple[float, float]) -> float:
     return wrap_phase(cell.wavevector[0] * x[0] + cell.wavevector[1] * x[1] + cell.offset)
 
 
-def _von_mises_kappa(delta: float) -> float:
-    """Concentration that puts the von Mises kernel's half maximum at d = delta."""
-    return math.log(2.0) / (1.0 - math.cos(delta))
-
-
-def _von_mises(kappa: float, d: float) -> float:
-    return math.exp(kappa * (math.cos(d) - 1.0))
-
-
 def _distance_kernel(cfg: PlaceCellConfig) -> Callable[[float], float]:
-    """The kernel as a function of a non-negative phase distance, kappa computed once."""
+    """The kernel of a non-negative phase distance; von Mises kappa puts half maximum at delta."""
+    delta = cfg.delta
     if cfg.kernel == "boxcar":
-        delta = cfg.delta
         return lambda d: 1.0 if d <= delta else 0.0
-    return functools.partial(_von_mises, _von_mises_kappa(cfg.delta))
-
-
-def kernel_value(cfg: PlaceCellConfig, phase_distance: float) -> float:
-    return _distance_kernel(cfg)(abs(phase_distance))
-
-
-def _input_at(cfg: PlaceCellConfig, kernel: Callable[[float], float],
-              cells: Sequence[GridCell], osc: Oscillator, t: float,
-              x: tuple[float, float]) -> float:
-    theta = wrap_time(t, osc)
-    total = 0.0
-    for w, cell in zip(cfg.weights, cells):
-        total += w * kernel(circular_distance(theta, grid_phase(cell, x)))
-    return total
-
-
-def _segment_integral(cfg, kernel, cells, osc, traj, t0, t1) -> float:
-    steps = max(1, math.ceil((t1 - t0) / (osc.period / 256.0)))
-    h = (t1 - t0) / steps
-    total = 0.0
-    prev = _input_at(cfg, kernel, cells, osc, t0, traj.position(t0))
-    for i in range(1, steps + 1):
-        t = t0 + i * h
-        current = _input_at(cfg, kernel, cells, osc, t, traj.position(t))
-        total += 0.5 * (prev + current) * h
-        prev = current
-    return total
+    kappa = math.log(2.0) / (1.0 - math.cos(delta))
+    return lambda d: math.exp(kappa * (math.cos(d) - 1.0))
 
 
 def tour_coincidence_total(
@@ -171,16 +137,27 @@ def tour_coincidence_total(
     if len(cfg.weights) != len(cells):
         raise ConfigError("one weight per grid cell required")
     kernel = _distance_kernel(cfg)
-    total = 0.0
+
+    def input_at(t: float) -> float:
+        theta, x = wrap_time(t, osc), tour.position(t)
+        value = 0.0
+        for w, cell in zip(cfg.weights, cells):
+            value += w * kernel(circular_distance(theta, grid_phase(cell, x)))
+        return value
+
     times = [t for t, _ in tour.samples]
-    for a, b in zip(times, times[1:]):
-        total += _segment_integral(cfg, kernel, cells, osc, tour, a, b)
+    total = 0.0
+    prev = input_at(times[0])
+    for t0, t1 in zip(times, times[1:]):
+        steps = max(1, math.ceil((t1 - t0) / (osc.period / 256.0)))
+        h = (t1 - t0) / steps
+        segment = 0.0
+        for i in range(1, steps + 1):
+            current = input_at(t1 if i == steps else t0 + i * h)
+            segment += 0.5 * (prev + current) * h
+            prev = current
+        total += segment
     return total
-
-
-def _gate_overlap_boxcar(delta: float, phase_dist: float) -> float:
-    """Mean of two unit boxcars of half-width delta at circular distance d."""
-    return max(0.0, 2.0 * delta - phase_dist) / TWO_PI
 
 
 GATE_STEPS = 512  # theta samples per period in the von Mises gate integral
@@ -194,18 +171,19 @@ def _gated_values(cfg: PlaceCellConfig, cells: Sequence[GridCell],
     gate's samples only (the others add nothing), so the sample list and
     kappa are built once for all positions.
     """
-    weights = cfg.weights
+    weights, delta = cfg.weights, cfg.delta
     values = []
     if cfg.kernel == "boxcar":
         for x in positions:
             value = 0.0
             for w, cell in zip(weights, cells):
                 d = circular_distance(grid_phase(cell, x), GATE_CENTER)
-                value += w * _gate_overlap_boxcar(cfg.delta, d)
+                # the mean product of two unit boxcars of half-width delta, d apart
+                value += w * (max(0.0, 2.0 * delta - d) / TWO_PI)
             values.append(value)
         return values
     gated = [theta for theta in (TWO_PI * i / GATE_STEPS for i in range(GATE_STEPS))
-             if circular_distance(theta, GATE_CENTER) <= cfg.delta]
+             if circular_distance(theta, GATE_CENTER) <= delta]
     kernel = _distance_kernel(cfg)
     for x in positions:
         value = 0.0
@@ -322,12 +300,12 @@ def tour_invariance(
     return totals_match and windings_match, report
 
 
-def _densified(tour: Trajectory2D, max_step: float = 0.01, max_time_step: float = math.inf):
+def _densified(tour: Trajectory2D, max_time_step: float):
     """Samples along the tour, subdivided for unambiguous phase unwrapping."""
     points = []
     samples = tour.samples
     for (t0, p0), (t1, p1) in zip(samples, samples[1:]):
-        steps = max(1, math.ceil(math.dist(p0, p1) / max_step),
+        steps = max(1, math.ceil(math.dist(p0, p1) / DENSIFY_STEP),
                     math.ceil((t1 - t0) / max_time_step))
         for i in range(steps):
             s = i / steps

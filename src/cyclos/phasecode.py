@@ -50,16 +50,9 @@ def circular_distance(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def signed_gap(a: float, b: float) -> float:
-    """Phase step a -> b on the nearest branch, in (-pi, pi)."""
-    d = (b - a + math.pi) % TWO_PI - math.pi
-    if abs(abs(d) - math.pi) < 1e-15 or d == -math.pi:
-        raise UnwrapError(f"ambiguous phase gap of ~pi between {a} and {b}")
-    return d
-
-
 def winding_number(phases: Sequence[float]) -> int:
-    """Turns of a closed phase path, whose last sample lies within 1e-6 rad of its first."""
+    """Turns of a closed phase path, whose last sample lies within 1e-6 rad of its first:
+    the sum of its steps, each taken on the nearest branch, in (-pi, pi), over 2 pi."""
     total = 0.0
     with malformed("phase samples"):  # not a sequence, or a sample that is not a number
         if len(phases) < 2:
@@ -67,7 +60,10 @@ def winding_number(phases: Sequence[float]) -> int:
         if (gap := circular_distance(phases[0], phases[-1])) > 1e-6:
             raise ClosureError(f"path not closed: endpoints differ by {gap:.3g} rad")
         for a, b in zip(phases, phases[1:]):
-            total += signed_gap(a, b)
+            d = (b - a + math.pi) % TWO_PI - math.pi
+            if abs(abs(d) - math.pi) < 1e-15:
+                raise UnwrapError(f"ambiguous phase gap of ~pi between {a} and {b}")
+            total += d
     if not math.isfinite(total):  # a NaN or infinite phase gives NaN gaps
         raise CyclosError("phase samples must be finite")
     return round(total / TWO_PI)

@@ -8,11 +8,11 @@ denominators (plain ints are used as they are), and :func:`rref` and
 :func:`solve_gaussian` share one fraction-free forward elimination that
 clears only below each pivot. :func:`rref` then clears above each pivot in
 one bottom-up pass of the same row operation; :func:`solve_gaussian`
-back-substitutes in integers over one common denominator. ``Fraction``s are
-built once, for the results. The RREF of a rational matrix and the solution
-of a nonsingular system are unique, so they are what ``Fraction`` arithmetic
-gives. A vector is reduced modulo a span by ``chaincore.reduce_column``, not
-here.
+back-substitutes in integers and returns integers over one denominator.
+Only :func:`rref` builds ``Fraction``s, once, for its result. The RREF of a
+rational matrix and the solution of a nonsingular system are unique, so
+they are what ``Fraction`` arithmetic gives. A vector is reduced modulo a
+span by ``chaincore.reduce_column``, not here.
 """
 
 from __future__ import annotations
@@ -105,12 +105,12 @@ def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     return reduced, pivots
 
 
-def solve_gaussian(a: Sequence[Sequence], b: Sequence) -> Row:
-    """Solve a square nonsingular system exactly.
+def solve_gaussian(a: Sequence[Sequence], b: Sequence) -> tuple[list[int], int]:
+    """Solve a square nonsingular system exactly, as ``(x, den)``: unknown ``i``
+    is ``x[i] / den``, and ``den > 0`` is the unknowns' least common denominator.
 
     After :func:`_eliminate` the rows are upper triangular. Back-substitution
-    keeps the unknowns found so far as integers over their least common
-    denominator and builds one ``Fraction`` per unknown at the end."""
+    keeps the unknowns found so far as integers over that denominator."""
     n = len(a)
     m = [_integers([*row, b[i]])[0] for i, row in enumerate(a)]
     pivots = _eliminate(m)
@@ -130,4 +130,4 @@ def solve_gaussian(a: Sequence[Sequence], b: Sequence) -> Row:
             x = [v * (lcm // den) for v in x]
             den = lcm
         x[i] = num * (den // q)
-    return [Fraction(v, den) for v in x]
+    return x, den

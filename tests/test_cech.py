@@ -187,6 +187,12 @@ def test_colimit_reports_exactly_the_mismatched_opens(seed, n, data):
         assert isinstance(result, ColimitElement)
 
 
+def test_cover_with_no_opens_glues_and_colimits_to_the_zero_space():
+    cover = Cover([0], [])
+    assert cosheaf_colimit(CosheafData.build([], {}), cover) == ColimitElement(())
+    assert glue_sections(SheafData.build([], {}), cover) == GlobalSection(())
+
+
 def closed_cochain(rng, nerve):
     """Random element of the kernel of the coboundary on edges."""
     edge_index = {e: k for k, e in enumerate(nerve.edges)}
@@ -278,6 +284,8 @@ PATH_SHEAF = SheafData.build([V2] * 3, PATH_MAPS)
 PATH_COSHEAF = CosheafData.build([V2] * 3, PATH_MAPS)
 PATH_PAIRING = Pairing.build([I2] * 3, {(0, 1): I2, (1, 2): I2})
 DISJOINT_COVER = Cover(range(3), [{0}, {1}, {2}])  # a nerve with no edges
+TRIANGLE_NERVE = build_nerve(Cover([0], [{0}, {0}, {0}]))  # one filled triangle
+RING_NERVE = build_nerve(Cover(range(4), [{0, 1}, {1, 2}, {2, 3}, {3, 0}]))  # one hollow square
 
 
 @pytest.mark.parametrize("call", [
@@ -327,6 +335,11 @@ DISJOINT_COVER = Cover(range(3), [{0}, {1}, {2}])  # a nerve with no edges
     pytest.param(lambda: cocycle_class({(0, 1): "x"}, PATH_NERVE), id="cocycle-string-value"),
     pytest.param(lambda: cocycle_class({(0, 1): 1.0, (1, 0): 1.0}, PATH_NERVE),
                  id="cocycle-edge-in-both-orientations"),
+    pytest.param(lambda: cocycle_class({(0, 1): math.nan}, TRIANGLE_NERVE),
+                 id="cocycle-nan-value-on-a-triangle"),
+    pytest.param(lambda: cocycle_class({(0, 1): math.nan}, RING_NERVE), id="cocycle-nan-value"),
+    pytest.param(lambda: cocycle_class({(0, 1): -math.inf, (1, 2): math.inf}, RING_NERVE),
+                 id="cocycle-opposite-inf-values"),
 ])
 def test_rejected_with_cyclos_error(call):
     with pytest.raises(CyclosError):

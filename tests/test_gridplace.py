@@ -90,6 +90,18 @@ class TestCoincidenceFunctional:
         )
         assert total == pytest.approx(split, abs=1e-15)
 
+    def test_last_step_lands_on_tour_end(self):
+        # t0 + steps * h rounds past t1 here, which position() rejects
+        osc = Oscillator(6.3)
+        t0, t1 = -0.7475806170912094, 0.17508155923802993
+        steps = math.ceil((t1 - t0) / (osc.period / 256.0))
+        assert t0 + steps * ((t1 - t0) / steps) > t1
+        cfg = PlaceCellConfig((1.0,), threshold=0.1)
+        cells = [GridCell((TWO_PI, 0.0))]
+        tour = Trajectory2D(((t0, (0.3, 0.0)), (t1, (0.3, 0.0))))
+        assert tour_coincidence_total(cfg, cells, tour, osc) == reference_tour_total(
+            cfg, cells, tour, osc)
+
 
 class TestPlaceFieldMap:
     def test_commensurate_pair_peaks_at_lattice_points(self):
@@ -209,7 +221,7 @@ def reference_gated_value(cfg, cells, x):
     for w, cell in zip(cfg.weights, cells):
         d = circular_distance(grid_phase(cell, x), gridplace.GATE_CENTER)
         if cfg.kernel == "boxcar":
-            value += w * gridplace._gate_overlap_boxcar(cfg.delta, d)
+            value += w * (max(0.0, 2.0 * cfg.delta - d) / TWO_PI)
         else:
             steps = 512
             acc = 0.0
@@ -251,7 +263,7 @@ def reference_tour_total(cfg, cells, tour, osc):
         segment = 0.0
         prev = input_at(t0, tour.position(t0))
         for i in range(1, steps + 1):
-            t = t0 + i * h
+            t = t1 if i == steps else t0 + i * h
             current = input_at(t, tour.position(t))
             segment += 0.5 * (prev + current) * h
             prev = current
@@ -297,4 +309,5 @@ class TestHoistedKernelsOracle:
            st.floats(-10, 10))
     def test_kernel_value_matches_reference(self, kernel, delta, distance):
         cfg = PlaceCellConfig((), threshold=0.1, kernel=kernel, delta=delta)
-        assert gridplace.kernel_value(cfg, distance) == reference_kernel_value(cfg, distance)
+        assert gridplace._distance_kernel(cfg)(abs(distance)) == reference_kernel_value(
+            cfg, distance)

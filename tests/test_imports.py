@@ -1,8 +1,9 @@
 """The spike audits stay free of numpy, whose import alone costs ~60 ms,
 ``cyclos.coincide`` loads no module beyond those its sources name, no
 ``cyclos`` source imports a name it does not use or keeps a private helper
-or an UPPER_CASE constant that nothing reads, and every error class is named
-outside ``errors.py``."""
+or an UPPER_CASE constant that nothing reads, every parameter default is
+overridden by some call, and every error class is named outside
+``errors.py``."""
 
 import ast
 import os
@@ -100,6 +101,50 @@ def test_sources_hold_no_unused_import_or_private_helper():
                 if (private or helper.isupper()) and not any(
                         helper in names for key, names in reads.items() if key != (name, index)):
                     problems.append(f"{name}:{stmt.lineno} defines {helper}, never referenced")
+    assert problems == []
+
+
+def parameter_defaults(tree: ast.Module):
+    """(names a call may use, parameter, position in a call's arguments or None)
+    for each parameter default in ``tree``. A method's position leaves out
+    ``self`` or ``cls``, and an ``__init__`` is called by its class's name too."""
+    owners = {id(item): node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              for item in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = owners.get(id(node))
+        names = {node.name} | ({owner.name} if owner and node.name == "__init__" else set())
+        bound = owner is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for index, arg in enumerate(positional[first:], first):
+            yield names, arg.arg, index - bound
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield names, arg.arg, None
+
+
+def test_every_parameter_default_is_overridden_by_some_call():
+    # a default that every call leaves in place is a constant under a parameter's name;
+    # calls match by name, and one with *args or **kwargs passes every parameter
+    calls: dict[str, list[ast.Call]] = {}
+    for folder in ("src", "tests", "benchmarks"):
+        for path in sorted((SRC.parent / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    problems = []
+    for module, tree in source_trees().items():
+        for names, parameter, position in parameter_defaults(tree):
+            if not any(any(isinstance(arg, ast.Starred) for arg in call.args)
+                       or any(k.arg in (None, parameter) for k in call.keywords)
+                       or position is not None and position < len(call.args)
+                       for name in names for call in calls.get(name, [])):
+                problems.append(f"{module}: no call passes {'/'.join(sorted(names))}({parameter})")
     assert problems == []
 
 

@@ -175,15 +175,19 @@ def square_systems(draw):
 def test_solve_gaussian_matches_reference(system):
     a, b = system
     assume(len(reference_rref(a)[1]) == len(a))
-    got = ratlin.solve_gaussian(a, b)
-    assert got == reference_solve_gaussian(a, b)
-    assert all(type(x) is Fraction for x in got)
+    numerators, den = ratlin.solve_gaussian(a, b)
+    want = reference_solve_gaussian(a, b)
+    assert [Fraction(x, den) for x in numerators] == want
+    assert all(type(x) is int for x in numerators)
+    # the least common denominator, which project_to_cycles relies on
+    assert den == math.lcm(*(x.denominator for x in want))
 
 
 def test_forward_pass_swaps_past_a_zero_leading_entry():
     a, b = [[0, 2, 1], [3, 1, 0], [1, 0, 1]], [1, 2, Fraction(1, 2)]
     assert ratlin.rref(a) == reference_rref(a)
-    assert ratlin.solve_gaussian(a, b) == reference_solve_gaussian(a, b)
+    numerators, den = ratlin.solve_gaussian(a, b)
+    assert [Fraction(x, den) for x in numerators] == reference_solve_gaussian(a, b)
 
 
 @pytest.mark.parametrize("b", [[1, 2, 3], [1, 3, 3]], ids=["consistent", "inconsistent"])
