@@ -230,6 +230,8 @@ def place_field_map(
                           f"got {resolution!r} and {region!r}")
     if nx < 8 or ny < 8:
         raise ConfigError("resolution must be at least 8x8")
+    if xmax <= xmin or ymax <= ymin:
+        raise ConfigError(f"region must have xmin < xmax and ymin < ymax, got {region!r}")
     if len(cfg.weights) != len(cells):
         raise ConfigError("one weight per grid cell required")
     xs = [xmin + (ix + 0.5) * (xmax - xmin) / nx for ix in range(nx)]

@@ -3,6 +3,10 @@
 The homology class of a homing loop in a disk-punctured plane is its integer
 winding vector: signed ray crossings, exact and additive over the moves that
 compose the loop (Hormann and Agathos, Comput. Geom. 2001).
+
+Composing and checking are split: :func:`compose_moves` checks only how the
+moves join up at the base, and :func:`winding_vector` checks the closed loop
+against the obstacles before it counts, so each loop is checked once.
 """
 
 from __future__ import annotations
@@ -43,10 +47,13 @@ class Workspace:
         with malformed("workspace base"):
             if not (len(self.base) == 2 and all(map(is_finite, self.base))):
                 raise CyclosError(f"base point must be two finite numbers, got {self.base!r}")
-        for i, a in enumerate(self.obstacles):
-            for b in self.obstacles[i + 1:]:
-                if math.dist(a.center, b.center) <= a.radius + b.radius:
-                    raise CyclosError("obstacles must be pairwise disjoint")
+        with malformed("workspace obstacles"):  # not a sequence
+            if not all(isinstance(disk, Disk) for disk in self.obstacles):
+                raise CyclosError(f"obstacles must be disks, got {self.obstacles!r}")
+            for i, a in enumerate(self.obstacles):
+                for b in self.obstacles[i + 1:]:
+                    if math.dist(a.center, b.center) <= a.radius + b.radius:
+                        raise CyclosError("obstacles must be pairwise disjoint")
         for disk in self.obstacles:
             if math.dist(self.base, disk.center) < disk.radius:
                 raise CyclosError("base point lies inside an obstacle")
@@ -162,7 +169,7 @@ def winding_vector(loop: Sequence[Point], ws: Workspace) -> WindingVector:
             raise CyclosError("loop needs at least three points")
         closed = _float_pairs([*loop, loop[0]], "loop")
     gap = math.dist(closed[0], closed[-2])
-    if gap > DEFAULT_ENDPOINT_TOL:
+    if not gap <= DEFAULT_ENDPOINT_TOL:  # NaN fails too
         raise ClosureError(f"loop endpoints differ by {gap:.3g} m")
     check_feasible(closed, ws)
     windings = []
@@ -178,20 +185,25 @@ def winding_vector(loop: Sequence[Point], ws: Workspace) -> WindingVector:
 
 
 def compose_moves(sequence: Sequence[Move], ws: Workspace) -> list[Point]:
-    """Concatenate moves into a homing loop anchored at the base point."""
+    """Concatenate moves into a homing loop anchored at the base point.
+
+    Checks only the composition: the first move starts at the base, each move
+    starts where the previous one ends, and the last one ends at the base, all
+    within DEFAULT_ENDPOINT_TOL (a NaN gap fails). The caller checks the path
+    against the obstacles; winding_vector does so on the closed loop.
+    """
     if not sequence:
         raise CompositionError("no moves to compose")
-    if math.dist(sequence[0].start, ws.base) > DEFAULT_ENDPOINT_TOL:
+    if not math.dist(sequence[0].start, ws.base) <= DEFAULT_ENDPOINT_TOL:
         raise CompositionError("first move does not start at the base point")
     path: list[Point] = list(sequence[0].path)
     for idx, move in enumerate(sequence[1:], start=1):
         gap = math.dist(path[-1], move.start)
-        if gap > DEFAULT_ENDPOINT_TOL:
+        if not gap <= DEFAULT_ENDPOINT_TOL:
             raise CompositionError(f"move {idx} starts {gap:.3g} m away from the previous endpoint")
         path.extend(move.path[1:])
-    if math.dist(path[-1], ws.base) > DEFAULT_ENDPOINT_TOL:
+    if not math.dist(path[-1], ws.base) <= DEFAULT_ENDPOINT_TOL:
         raise ClosureError("composed path does not return to the base point")
-    check_feasible(path, ws)
     return path
 
 
@@ -203,9 +215,13 @@ def order_invariance_check(
     """Compare winding vectors across move orderings.
 
     Every ordering must list indices into `moveset`. Invalid orderings
-    (composition or closure failures) are reported per ordering and
-    excluded; the check passes iff every valid ordering yields one winding
-    vector.
+    (composition, closure or obstacle failures) are reported per ordering
+    and excluded; the check passes iff every valid ordering yields one
+    winding vector. Each composed loop meets the obstacles once, in
+    winding_vector, after its length and closure checks: a loop that crosses
+    an obstacle and also has fewer than three points, or ends that lie more
+    than DEFAULT_ENDPOINT_TOL apart (each end within it of the base), reports
+    that failure instead of the crossing.
     """
     with malformed("orderings", PreconditionError):  # an ordering that is not a sequence
         valid = all(is_int(i) and 0 <= i < len(moveset) for order in orderings for i in order)

@@ -35,8 +35,15 @@ class Oscillator:
 
 
 def wrap_phase(raw: float) -> float:
-    """`raw` reduced to [0, 2*pi); a tiny negative value that rounds up to 2*pi gives 0.0."""
-    wrapped = raw - TWO_PI * math.floor(raw / TWO_PI)
+    """`raw` reduced to [0, 2*pi); a tiny negative value that rounds up to 2*pi gives 0.0.
+
+    A NaN or infinite `raw`, such as the overflowed product of a huge time and
+    frequency, raises CyclosError.
+    """
+    try:
+        wrapped = raw - TWO_PI * math.floor(raw / TWO_PI)
+    except (OverflowError, ValueError) as exc:  # floor of an infinity or of NaN
+        raise CyclosError(f"phase must be finite, got {raw!r}") from exc
     return 0.0 if wrapped >= TWO_PI else wrapped
 
 

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from cyclos import pngsim
 from cyclos.chaincore import Chain1, ChainComplex
-from cyclos.coincide import SpikeTrain
+from cyclos.coincide import CoincidenceWindow, SpikeTrain, closed_part, coincidence_persistence
 from cyclos.errors import CyclosError
 from cyclos.ght import AccumulatorConfig, Feature, GazeTransform, ModelTable, accumulate
 from cyclos.gridplace import GridCell, PlaceCellConfig, Trajectory2D, place_field_map
-from cyclos.nav import Disk, Move, Workspace, order_invariance_check
+from cyclos.nav import Disk, Move, Workspace, compose_moves, order_invariance_check, winding_vector
 from cyclos.persist import Bar, Barcode, Filtration
-from cyclos.phasecode import Oscillator, winding_number
+from cyclos.phasecode import Oscillator, winding_number, wrap_phase
 from cyclos.pngsim import (
     DelayNetwork, STDPParams, Synapse, find_resonant_cycles, order_invariant_readout, simulate,
 )
@@ -169,8 +169,8 @@ def stripe_field(region, resolution):
 
 class TestErrorContract:
     """Each row used to raise KeyError, IndexError, TypeError, ValueError,
-    ZeroDivisionError or OverflowError, or to pass silently, instead of raising
-    a CyclosError."""
+    ZeroDivisionError, OverflowError or AttributeError, or to pass silently,
+    instead of raising a CyclosError."""
 
     @pytest.mark.parametrize("build", [
         pytest.param(lambda: Oscillator("8"), id="oscillator-string-frequency"),
@@ -204,8 +204,16 @@ class TestErrorContract:
         pytest.param(lambda: homing_orderings([[0], [-1]]), id="ordering-negative-index"),
         pytest.param(lambda: homing_orderings([3]), id="ordering-not-a-sequence"),
         pytest.param(lambda: Disk((0.0, 0.0, 0.0), 1.0), id="disk-three-coordinate-center"),
+        pytest.param(lambda: Workspace(None, (0.0, 0.0)), id="workspace-no-obstacles"),
+        pytest.param(lambda: Workspace((1,), (0.0, 0.0)), id="workspace-number-obstacle"),
+        pytest.param(lambda: Workspace({Disk((0.0, 0.0), 1.0)}, (5.0, 5.0)),
+                     id="workspace-set-of-obstacles"),
         pytest.param(lambda: stripe_field((0.0, 1.0, 0.0, 1.0), (8.5, 8)),
                      id="place-field-fractional-resolution"),
+        pytest.param(lambda: stripe_field((1.0, 0.0, 0.0, 1.0), (8, 8)),
+                     id="place-field-inverted-region"),
+        pytest.param(lambda: stripe_field((0.0, 1.0, 0.5, 0.5), (8, 8)),
+                     id="place-field-zero-height-region"),
         pytest.param(lambda: simulate(two_cycle(), [(0,)], 20.0),
                      id="simulate-one-element-stimulus"),
         pytest.param(lambda: simulate(two_cycle(), [(0, 0.0), (1, "x")], 20.0),
@@ -245,6 +253,14 @@ class TestErrorContract:
             build()
 
 
+HUGE_TIMES = SpikeTrain(2, [(0, 1e300), (1, 1e300)])  # times a 1e10 Hz phase overflows
+
+
+def homing_from_base(*paths):
+    """The composed path of moves along `paths` in an empty workspace based at the origin."""
+    return compose_moves([Move(path) for path in paths], Workspace((), (0.0, 0.0)))
+
+
 def nan_vote():
     config = AccumulatorConfig((0.0, 10.0, 0.0, 10.0), (4, 4))
     feature = Feature((math.nan, 1.0), 0.0, 0)
@@ -252,8 +268,8 @@ def nan_vote():
 
 
 class TestNonFiniteInputs:
-    """Each row used to raise ValueError, TypeError or IndexError, or to pass
-    silently with a wrong result, instead of raising a CyclosError."""
+    """Each row used to raise ValueError, TypeError, IndexError or OverflowError,
+    or to pass silently with a wrong result, instead of raising a CyclosError."""
 
     @pytest.mark.parametrize("build", [
         pytest.param(nan_vote, id="accumulate-nan-feature"),
@@ -301,6 +317,25 @@ class TestNonFiniteInputs:
                      id="place-field-nan-region"),
         pytest.param(lambda: stripe_field((0.0, math.inf, 0.0, 1.0), (8, 8)),
                      id="place-field-inf-region"),
+        pytest.param(lambda: homing_from_base(((math.nan, 0.0), (0.0, 0.0))),
+                     id="compose-nan-first-start"),
+        pytest.param(lambda: homing_from_base(((0.0, 0.0), (math.nan, 0.0)),
+                                              ((0.0, 0.0), (0.0, 0.0))),
+                     id="compose-nan-junction"),
+        pytest.param(lambda: homing_from_base(((0.0, 0.0), (1.0, 0.0), (math.nan, 0.0))),
+                     id="compose-nan-return-to-base"),
+        pytest.param(lambda: winding_vector([(math.nan, 0.0), (1.0, 0.0), (0.0, 1.0)],
+                                            Workspace((), (0.0, 0.0))),
+                     id="winding-vector-nan-loop-end"),
+        pytest.param(lambda: wrap_phase(math.inf), id="wrap-phase-inf"),
+        pytest.param(lambda: wrap_phase(math.nan), id="wrap-phase-nan"),
+        pytest.param(lambda: closed_part(HUGE_TIMES, Oscillator(1e10), CoincidenceWindow(0.5)),
+                     id="closed-part-overflowed-phase"),
+        pytest.param(lambda: coincidence_persistence(HUGE_TIMES, Oscillator(1e10), [0.5]),
+                     id="persistence-overflowed-phase"),
+        pytest.param(lambda: place_field_map(PlaceCellConfig((1.0,), 0.5), [GridCell((1e300, 0.0))],
+                                             Oscillator(8.0), (0.0, 1e10, 0.0, 1.0), (8, 8)),
+                     id="place-field-overflowed-phase"),
     ])
     def test_rejected_with_cyclos_error(self, build):
         with pytest.raises(CyclosError):

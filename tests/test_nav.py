@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclos import nav
-from cyclos.errors import ClosureError, CompositionError, FeasibilityError
+from cyclos.errors import ClosureError, CompositionError, CyclosError, FeasibilityError
 from cyclos.nav import Disk, Move, Workspace
 
 
@@ -350,3 +350,77 @@ class TestWindingOracle:
         reference = [reference_winding(loop, disk.center) for disk in ws.obstacles]
         assert windings == tuple(turns for turns, _ in reference)
         assert all(residual < 0.01 for _, residual in reference)
+
+
+def reference_order_invariance(moveset, orderings, ws):
+    """The order-invariance report with the obstacles checked between composing
+    and counting, as well as inside winding_vector."""
+    results, vectors = [], []
+    for ordering in orderings:
+        try:
+            loop = nav.compose_moves([moveset[i] for i in ordering], ws)
+            nav.check_feasible(loop, ws)
+            vec = nav.winding_vector(loop, ws)
+            vectors.append(vec)
+            results.append({"ordering": list(ordering), "windings": list(vec.windings)})
+        except CyclosError as err:
+            results.append({"ordering": list(ordering), "error": str(err)})
+    ok = bool(vectors) and all(v == vectors[0] for v in vectors)
+    return ok, {"pass": ok, "orderings": results}
+
+
+@st.composite
+def lasso_movesets(draw):
+    """Disks in a row above the base and moves that leave the base, circle one disk
+    on a ring of radius 0.2 to 1.8 (inside a disk of radius 0.3 to 1 when small),
+    and return; every move starts and ends exactly at the base."""
+    disks = tuple(Disk((4.0 * i, 0.0), draw(st.floats(0.3, 1.0)))
+                  for i in range(draw(st.integers(1, 3))))
+    ws = Workspace(disks, base=(draw(st.floats(-2.0, 10.0)), -3.0))
+    moves = []
+    for _ in range(draw(st.integers(1, 4))):
+        cx, cy = draw(st.sampled_from(disks)).center
+        rho = draw(st.floats(0.2, 1.8))
+        ring = circle((cx, cy), rho, n=draw(st.integers(3, 16)), ccw=draw(st.booleans()))
+        moves.append(Move((ws.base, *ring, ws.base)))
+    orderings = draw(st.lists(st.lists(st.integers(0, len(moves) - 1), min_size=1, max_size=4),
+                              min_size=1, max_size=6))
+    return moves, orderings, ws
+
+
+class TestOneObstacleCheck:
+    def test_composed_path_is_checked_once_in_winding_vector(self, monkeypatch):
+        ws = Workspace((Disk((0.0, 0.0), 0.5),), base=(1.5, 0.0))
+        through = Move(((1.5, 0.0), (-1.5, 0.0), (-1.5, 1.5), (1.5, 1.5), (1.5, 0.0)))
+        around = Move(tuple(circle((0.0, 0.0), 1.5)))
+        open_move = Move(((1.5, 0.0), (5.0, 5.0)))
+        moveset = [through, around, open_move]
+        orderings = [[0], [1], [0, 1], [1, 0], [2], [1, 2]]
+        composed = {}
+        for ordering in ([0], [1], [0, 1], [1, 0]):
+            composed[tuple(ordering)] = nav.compose_moves([moveset[i] for i in ordering], ws)
+        messages = {key: feasibility_outcome(nav.check_feasible, path, ws)
+                    for key, path in composed.items()}
+        assert messages[(0,)] is not None and messages[(1,)] is None
+
+        checked = []
+        check_feasible = nav.check_feasible
+        def counted(path, workspace):
+            checked.append(list(path))
+            return check_feasible(path, workspace)
+        monkeypatch.setattr(nav, "check_feasible", counted)
+        ok, report = nav.order_invariance_check(moveset, orderings, ws)
+
+        # one check per ordering that composes, on its loop closed back to its start
+        assert checked == [path + path[:1] for path in composed.values()]
+        assert ok
+        by_ordering = {tuple(entry["ordering"]): entry for entry in report["orderings"]}
+        assert by_ordering[(1,)] == {"ordering": [1], "windings": [1]}
+        for key in ((0,), (0, 1), (1, 0)):
+            assert by_ordering[key]["error"] == messages[key]
+        assert "error" in by_ordering[(2,)] and "error" in by_ordering[(1, 2)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(lasso_movesets())
+    def test_matches_compose_then_check_then_count(self, case):
+        assert nav.order_invariance_check(*case) == reference_order_invariance(*case)
